@@ -1,15 +1,19 @@
-"""Binary BCH codec built from scratch on the GF(2^m) tables.
+"""Binary BCH codec on the shared systematic-code core.
 
 The default instance is the (127, 36) code correcting t=15 bit errors,
-constructed over GF(2^7) with primitive polynomial x^7 + x^3 + 1. Bit
-vectors are numpy uint8 arrays in ascending-power order: ``word[i]`` is the
-coefficient of x^i, so a systematic codeword carries its n-k parity bits
-first and the message bits on top.
+constructed over GF(2^7) with primitive polynomial x^7 + x^3 + 1. The codec
+supplies only its generator, the product of the minimal polynomials of
+alpha^1..alpha^2t, and a symbol width of 1 bit; encoding, syndromes and
+decoding come from `galois.SystematicCode`, whose Forney step rejects any
+magnitude other than 1. Bit vectors are numpy uint8 arrays in
+ascending-power order: ``word[i]`` is the coefficient of x^i, so a
+systematic codeword carries its n-k parity bits first and the message bits
+on top.
 """
 
 import numpy as np
 
-from .galois import GF2m, berlekamp_massey, locator_roots
+from .galois import GF2m, SystematicCode
 
 
 def _cyclotomic_cosets(n: int, upto: int):
@@ -29,7 +33,7 @@ def _cyclotomic_cosets(n: int, upto: int):
     return cosets
 
 
-class BchCode:
+class BchCode(SystematicCode):
     """Systematic binary BCH code with bounded-distance decoding.
 
     decode() returns the message bits, or None when the received word is
@@ -39,93 +43,35 @@ class BchCode:
     """
 
     def __init__(self, m: int = 7, t: int = 15, primitive_poly: int = 0x89):
-        self.field = GF2m(m, primitive_poly)
-        self.m = m
-        self.t = t
-        self.n = self.field.order - 1
-
-        # generator = product of the minimal polynomials of alpha^1..alpha^2t
+        field = GF2m(m, primitive_poly)
         gen = np.array([1], dtype=np.int64)
-        for coset in _cyclotomic_cosets(self.n, 2 * t):
+        for coset in _cyclotomic_cosets(field.order - 1, 2 * t):
             minpoly = np.array([1], dtype=np.int64)
             for e in coset:
-                minpoly = self.field.poly_mul(
-                    minpoly, np.array([self.field.pow_alpha(e), 1], dtype=np.int64)
-                )
+                minpoly = field.poly_mul(minpoly, [field.pow_alpha(e), 1])
             if not np.all((minpoly == 0) | (minpoly == 1)):
                 raise AssertionError("minimal polynomial not binary")
-            gen = self.field.poly_mul(gen, minpoly)
+            gen = field.poly_mul(gen, minpoly)
         if not np.all((gen == 0) | (gen == 1)):
             raise AssertionError("generator polynomial not binary")
+        super().__init__(field, t, gen, s=1)
         self.generator = gen.astype(np.uint8)
-        self.k = self.n - (len(gen) - 1)
-
-        # parity rows: row i = x^(n-k+i) mod g, so parity = msg @ rows (mod 2)
-        r = self.n - self.k
-        g = self.generator[:r]  # g with its leading 1 dropped; deg g = r
-        rows = np.zeros((self.k, r), dtype=np.uint8)
-        rem = g.copy()  # x^r mod g
-        for i in range(self.k):
-            rows[i] = rem
-            top = rem[r - 1]
-            rem = np.roll(rem, 1)
-            rem[0] = 0
-            if top:
-                rem ^= g
-        self._parity_rows = rows
-
-        # syndrome tables: entry [j-1, i] = alpha^(j*i), j = 1..2t
-        j = np.arange(1, 2 * t + 1, dtype=np.int64)[:, None]
-        i = np.arange(self.n, dtype=np.int64)[None, :]
-        self._synd_table = self.field.exp_np[(j * i) % self.n]
-
-    @property
-    def n_bits(self) -> int:
-        return self.n
-
-    @property
-    def k_bits(self) -> int:
-        return self.k
 
     @property
     def code_id(self) -> str:
         return f"bch-{self.n}-{self.k}-{self.t}"
 
     def encode(self, msg_bits) -> np.ndarray:
-        msg = np.asarray(msg_bits, dtype=np.uint8)
-        if msg.shape != (self.k,):
-            raise ValueError(f"message must be {self.k} bits, got {msg.shape}")
-        parity = (msg.astype(np.int64) @ self._parity_rows.astype(np.int64)) % 2
-        return np.concatenate([parity, msg]).astype(np.uint8)
+        return self._encode_bits(self._word(msg_bits, self.k, np.uint8, "message", "bits"))
 
     # bit-oriented aliases shared with the Reed-Solomon codec
     encode_bits = encode
 
     def syndromes(self, rx_bits) -> np.ndarray:
-        ones = np.nonzero(np.asarray(rx_bits, dtype=np.uint8))[0]
-        if len(ones) == 0:
-            return np.zeros(2 * self.t, dtype=np.int64)
-        return np.bitwise_xor.reduce(self._synd_table[:, ones], axis=1)
+        return self._syndromes(np.asarray(rx_bits, dtype=np.uint8))
 
     def decode(self, rx_bits):
         """Correct up to t bit errors; return message bits or None."""
-        rx = np.asarray(rx_bits, dtype=np.uint8)
-        if rx.shape != (self.n,):
-            raise ValueError(f"received word must be {self.n} bits, got {rx.shape}")
-        synd = self.syndromes(rx)
-        if not synd.any():
-            return rx[self.n - self.k :].copy()
-        lam, l = berlekamp_massey(self.field, synd)
-        deg = len(lam) - 1
-        if l > self.t or deg != l:
-            return None
-        pos, root_count = locator_roots(self.field, lam, self.n)
-        if root_count != deg or len(pos) != deg:
-            return None
-        fixed = rx.copy()
-        fixed[pos] ^= 1
-        if self.syndromes(fixed).any():
-            return None
-        return fixed[self.n - self.k :].copy()
+        return self._correct(self._word(rx_bits, self.n, np.uint8, "received word", "bits"))
 
     decode_bits = decode

@@ -4,8 +4,7 @@ Keys are (puf id, inner challenge) pairs; entries hold the corrected R2
 together with its helper data. A hit serves the cached pair and skips both
 the PUF read and the ECC decode, which is where the batch-sampling speedup
 comes from. Replacement is strict insertion-order FIFO: a hit does not
-refresh an entry's position. An LRU mode exists only so benchmarks can
-compare policies.
+refresh an entry's position.
 """
 
 from collections import OrderedDict
@@ -15,13 +14,10 @@ from .hashing import compose_response
 
 
 class LookasideBuffer:
-    def __init__(self, capacity=16, policy="fifo"):
+    def __init__(self, capacity=16):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in ("fifo", "lru"):
-            raise ValueError(f"policy must be 'fifo' or 'lru', got {policy!r}")
         self.capacity = int(capacity)
-        self.policy = policy
         self.entries = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -35,8 +31,6 @@ class LookasideBuffer:
         """Return the cached entry or None; updates hit/miss counters."""
         if key in self.entries:
             self.hits += 1
-            if self.policy == "lru":
-                self.entries.move_to_end(key)
             return self.entries[key]
         self.misses += 1
         return None

@@ -1,12 +1,18 @@
-"""Arithmetic over GF(2^m) plus the decoder primitives shared by both codecs.
+"""GF(2^m) arithmetic and the systematic-code core shared by both codecs.
 
 The field is represented through exp/log tables built from a primitive
 polynomial. Scalar helpers operate on plain ints (fast enough for the
-Berlekamp-Massey inner loop); the vector helpers take numpy uint8/int arrays
-and are what the syndrome and Chien-search hot paths use.
+Berlekamp-Massey inner loop); the polynomial helpers are single gathers on
+numpy copies of the tables. Polynomials over the field are numpy int arrays
+in ascending order, so ``poly[i]`` is the coefficient of x^i.
 
-Polynomials over the field are numpy int arrays in ascending order, so
-``poly[i]`` is the coefficient of x^i.
+`SystematicCode` is the core of both codecs. A narrow-sense binary BCH code
+is the binary subfield subcode of the Reed-Solomon code over the same field
+with the same 2t roots alpha^1..alpha^2t, so one encoder and one decoder
+serve both. A codec supplies its generator polynomial and its symbol width
+s (1 bit for BCH, m bits for RS); the core encodes with a GF(2) parity
+matrix over the message bits and decodes by syndromes, Berlekamp-Massey,
+Chien search and Forney, rejecting any error magnitude wider than s bits.
 """
 
 import numpy as np
@@ -62,26 +68,16 @@ class GF2m:
         """alpha**e for any integer exponent."""
         return self.exp[e % (self.order - 1)]
 
-    def mul_vec(self, a, b):
-        """Elementwise product over the field, broadcasting scalars."""
-        a, b = np.broadcast_arrays(
-            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        )
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        if nz.any():
-            out[nz] = self.exp_np[self.log_np[a[nz]] + self.log_np[b[nz]]]
-        return out
-
     # polynomial helpers (ascending coefficient arrays over this field)
 
     def poly_mul(self, p, q):
+        """p*q: every nonzero product p_i q_j, XORed into out[i+j]."""
         p = np.asarray(p, dtype=np.int64)
         q = np.asarray(q, dtype=np.int64)
         out = np.zeros(len(p) + len(q) - 1, dtype=np.int64)
-        for i, c in enumerate(p):
-            if c:
-                out[i : i + len(q)] ^= self.mul_vec(np.int64(c), q)
+        i, j = np.nonzero(p)[0][:, None], np.nonzero(q)[0]
+        terms = self.exp_np[self.log_np[p[i]] + self.log_np[q[j]]]
+        np.bitwise_xor.at(out, i + j, terms)
         return out
 
     def poly_eval(self, p, x: int) -> int:
@@ -92,12 +88,15 @@ class GF2m:
         return acc
 
     def poly_eval_many(self, p, xs):
-        """Evaluate p at every point of the array xs."""
+        """Evaluate p at every point of the 1-D array xs: XOR over i of
+        exp[(log p_i + i * log x) mod (q-1)], with p(0) = p_0."""
+        p = np.asarray(p, dtype=np.int64)
         xs = np.asarray(xs, dtype=np.int64)
-        acc = np.zeros_like(xs)
-        for c in reversed(np.asarray(p, dtype=np.int64)):
-            acc = self.mul_vec(acc, xs) ^ int(c)
-        return acc
+        i = np.nonzero(p)[0][:, None]
+        terms = self.exp_np[(self.log_np[p[i]] + i * self.log_np[xs]) % (self.order - 1)]
+        out = np.bitwise_xor.reduce(terms, axis=0)
+        out[xs == 0] = p[0]
+        return out
 
 
 def berlekamp_massey(field: GF2m, syndromes):
@@ -153,3 +152,119 @@ def locator_roots(field: GF2m, lam, n: int):
     pos = (-(root_exps) % (field.order - 1)).astype(np.int64)
     pos = pos[pos < n]
     return np.sort(pos), int(len(root_exps))
+
+
+class SystematicCode:
+    """Systematic code of length q-1 whose generator has roots alpha^1..alpha^2t.
+
+    Words are symbol arrays in ascending-power order, parity first; as bits,
+    each symbol takes s bits, most significant first. A codec passes its
+    field, t, monic generator and symbol width s to __init__ and builds its
+    public methods on the underscore helpers.
+    """
+
+    # read-only parity matrices shared by codes with equal parameters; the
+    # matrix is most of a code's memory (1.8 MB for RS(255,223))
+    _parity_matrices = {}
+
+    def __init__(self, field: GF2m, t: int, generator, s: int):
+        self.field = field
+        self.m = field.m
+        self.t = t
+        self.s = s
+        self.n = field.order - 1
+        r = len(generator) - 1
+        self.k = self.n - r
+        key = (field.m, field.primitive_poly, s, tuple(int(c) for c in generator))
+        if key not in self._parity_matrices:
+            # GF(2) matrix from the k*s message bits to the r*s parity bits:
+            # message symbol i with value 2^b = alpha^b adds alpha^b *
+            # (x^(r+i) mod g) to the parity. float32 is exact for the
+            # encoder's matmul, since every parity sum is at most k*s < 2^24.
+            parity = np.empty((self.k * s, r * s), dtype=np.float32)
+            rem = g = np.asarray(generator, dtype=np.int64)[:r]  # x^r mod g
+            shifts = np.arange(s - 1, -1, -1)[:, None]
+            for i in range(self.k):
+                rows = np.where(rem != 0, field.exp_np[field.log_np[rem] + shifts], 0)
+                parity[i * s : (i + 1) * s] = self._bits(rows)
+                rem = np.concatenate([[0], rem[:-1]]) ^ field.poly_mul([rem[-1]], g)
+            parity.flags.writeable = False
+            self._parity_matrices[key] = parity
+        self._parity = self._parity_matrices[key]
+        # syndrome exponents: entry [j-1, i] = j*i mod (q-1), j = 1..2t
+        j = np.arange(1, 2 * t + 1, dtype=np.int64)[:, None]
+        self._synd_exps = (j * np.arange(self.n, dtype=np.int64)) % self.n
+
+    @property
+    def n_bits(self) -> int:
+        return self.n * self.s
+
+    @property
+    def k_bits(self) -> int:
+        return self.k * self.s
+
+    def _word(self, word, length, dtype, name, unit) -> np.ndarray:
+        """word as a numpy array of `length` entries, else ValueError."""
+        word = np.asarray(word, dtype=dtype)
+        if word.shape != (length,):
+            raise ValueError(f"{name} must be {length} {unit}, got {word.shape}")
+        return word
+
+    def _bits(self, syms) -> np.ndarray:
+        """Symbols to s bits each, most significant first, along the last axis."""
+        syms = np.asarray(syms, dtype=np.int64)
+        bits = (syms[..., None] >> np.arange(self.s - 1, -1, -1)) & 1
+        return bits.reshape(*syms.shape[:-1], -1).astype(np.uint8)
+
+    def _symbols(self, bits) -> np.ndarray:
+        """Inverse of _bits for a 1-D bit vector."""
+        bits = np.asarray(bits, dtype=np.int64).reshape(-1, self.s)
+        return bits @ (1 << np.arange(self.s - 1, -1, -1))
+
+    def _encode_bits(self, msg_bits) -> np.ndarray:
+        """Codeword bits [parity, message] for k_bits uint8 message bits."""
+        parity = (msg_bits.astype(np.float32) @ self._parity) % 2
+        return np.concatenate([parity.astype(np.uint8), msg_bits])
+
+    def _syndromes(self, rx) -> np.ndarray:
+        """S_j = rx(alpha^j) for j = 1..2t, one gather over the nonzero symbols."""
+        nz = np.nonzero(rx)[0]
+        terms = self.field.exp_np[self.field.log_np[rx[nz]] + self._synd_exps[:, nz]]
+        return np.bitwise_xor.reduce(terms, axis=1)
+
+    def _correct(self, rx):
+        """Message symbols of the codeword within t symbols of rx, or None.
+
+        Forney with first consecutive root alpha^1 gives the magnitude at
+        each root X^-1 as Omega(X^-1) / Lambda'(X^-1), where Omega = S(x)
+        Lambda(x) mod x^2t. A locator that is inconsistent with its roots, a
+        zero magnitude, a magnitude of 2^s or more, or a corrected word with
+        nonzero syndromes all mean more than t errors.
+        """
+        field, t = self.field, self.t
+        synd = self.syndromes(rx)
+        if not synd.any():
+            return rx[self.n - self.k :].copy()
+        lam, l = berlekamp_massey(field, synd)
+        deg = len(lam) - 1
+        if l > t or deg != l:
+            return None
+        pos, root_count = locator_roots(field, lam, self.n)
+        if root_count != deg or len(pos) != deg:
+            return None
+        omega = field.poly_mul(synd, lam)[: 2 * t]
+        lam_deriv = lam[1:].copy()
+        lam_deriv[1::2] = 0  # formal derivative keeps odd-degree terms
+        x_inv = field.exp_np[-pos % self.n]
+        num = field.poly_eval_many(omega, x_inv)
+        den = field.poly_eval_many(lam_deriv, x_inv)
+        if not (num.all() and den.all()):
+            return None
+        mag = field.exp_np[(field.log_np[num] - field.log_np[den]) % self.n]
+        if (mag >> self.s).any():
+            return None
+        fixed = rx.copy()
+        fixed[pos] ^= mag.astype(rx.dtype)
+        if self.syndromes(fixed).any():
+            return None
+        return fixed[self.n - self.k :]

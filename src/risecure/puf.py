@@ -41,7 +41,10 @@ def expand_challenge(c0, count, stages=64):
 
     Public, non-cryptographic: sub-challenge bits come from the splitmix64
     output sequence seeded by c0, so any party can recompute the expansion.
+    Raises ValueError for c0 outside [0, 2^64).
     """
+    if not 0 <= c0 < 1 << 64:
+        raise ValueError(f"inner challenge c0 must be in [0, 2^64), got {c0}")
     words_per = -(-stages // 64)
     idx = np.arange(count * words_per, dtype=np.uint64)
     with np.errstate(over="ignore"):

@@ -1,48 +1,31 @@
-"""Reed-Solomon codec built from scratch on the GF(2^8) tables.
+"""Reed-Solomon codec on the shared systematic-code core.
 
 The default instance is RS(255, 223) correcting t=16 byte errors, over
 GF(2^8) with primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 and a
-narrow-sense generator (first consecutive root alpha^1). Codewords are
-symbol arrays in ascending-power order: parity symbols first, then the
-message. The bit-oriented entry points pack 8 bits per symbol, most
-significant bit first, so the codec plugs into the same helper-data layer
-as the binary BCH code.
+narrow-sense generator (first consecutive root alpha^1). The codec supplies
+only that generator and a symbol width of m bits; encoding, syndromes and
+Berlekamp-Massey + Forney decoding come from `galois.SystematicCode`.
+Codewords are symbol arrays in ascending-power order: parity symbols
+first, then the message. The bit-oriented entry points take m bits per
+symbol, most significant bit first, so the codec plugs into the same
+helper-data layer as the binary BCH code.
 """
 
 import numpy as np
 
-from .galois import GF2m, berlekamp_massey, locator_roots
+from .galois import GF2m, SystematicCode
 
 
-class ReedSolomonCode:
+class ReedSolomonCode(SystematicCode):
     """Systematic RS code with Berlekamp-Massey + Forney decoding."""
 
     def __init__(self, t: int = 16, m: int = 8, primitive_poly: int = 0x11D):
-        self.field = GF2m(m, primitive_poly)
-        self.m = m
-        self.t = t
-        self.n = self.field.order - 1
-        self.k = self.n - 2 * t
-
+        field = GF2m(m, primitive_poly)
         gen = np.array([1], dtype=np.int64)
         for j in range(1, 2 * t + 1):
-            gen = self.field.poly_mul(
-                gen, np.array([self.field.pow_alpha(j), 1], dtype=np.int64)
-            )
+            gen = field.poly_mul(gen, [field.pow_alpha(j), 1])
+        super().__init__(field, t, gen, s=m)
         self.generator = gen
-
-        # syndrome tables: entry [j-1, i] = alpha^(j*i), j = 1..2t
-        j = np.arange(1, 2 * t + 1, dtype=np.int64)[:, None]
-        i = np.arange(self.n, dtype=np.int64)[None, :]
-        self._synd_table = self.field.exp_np[(j * i) % self.n]
-
-    @property
-    def n_bits(self) -> int:
-        return self.n * self.m
-
-    @property
-    def k_bits(self) -> int:
-        return self.k * self.m
 
     @property
     def code_id(self) -> str:
@@ -50,80 +33,23 @@ class ReedSolomonCode:
 
     def encode(self, msg_syms) -> np.ndarray:
         """Systematic encode: returns [2t parity symbols, k message symbols]."""
-        msg = np.asarray(msg_syms, dtype=np.int64)
-        if msg.shape != (self.k,):
-            raise ValueError(f"message must be {self.k} symbols, got {msg.shape}")
-        r = 2 * self.t
-        g = self.generator[:r]  # generator minus its (monic) leading term
-        rem = np.zeros(r, dtype=np.int64)
-        # LFSR division of m(x) * x^r by g, consuming message from the top
-        for sym in msg[::-1]:
-            fb = int(rem[r - 1]) ^ int(sym)
-            rem[1:] = rem[:-1]
-            rem[0] = 0
-            if fb:
-                rem ^= self.field.mul_vec(fb, g)
-        return np.concatenate([rem, msg])
+        msg = self._word(msg_syms, self.k, np.int64, "message", "symbols")
+        return self._symbols(self._encode_bits(self._bits(msg)))
 
     def syndromes(self, rx_syms) -> np.ndarray:
-        rx = np.asarray(rx_syms, dtype=np.int64)
-        nz = np.nonzero(rx)[0]
-        if len(nz) == 0:
-            return np.zeros(2 * self.t, dtype=np.int64)
-        return np.bitwise_xor.reduce(
-            self.field.mul_vec(self._synd_table[:, nz], rx[nz][None, :]), axis=1
-        )
+        return self._syndromes(np.asarray(rx_syms, dtype=np.int64))
 
     def decode(self, rx_syms):
         """Correct up to t symbol errors; return message symbols or None."""
-        rx = np.asarray(rx_syms, dtype=np.int64)
-        if rx.shape != (self.n,):
-            raise ValueError(f"received word must be {self.n} symbols, got {rx.shape}")
-        synd = self.syndromes(rx)
-        if not synd.any():
-            return rx[2 * self.t :].copy()
-        lam, l = berlekamp_massey(self.field, synd)
-        deg = len(lam) - 1
-        if l > self.t or deg != l:
-            return None
-        pos, root_count = locator_roots(self.field, lam, self.n)
-        if root_count != deg or len(pos) != deg:
-            return None
-
-        # Forney: with first consecutive root alpha^1 the error magnitude is
-        # e = Omega(Xinv) / Lambda'(Xinv), Omega = S(x) Lambda(x) mod x^2t
-        omega = self.field.poly_mul(synd, lam)[: 2 * self.t]
-        lam_deriv = lam[1::2]  # formal derivative keeps odd-degree terms
-        lam_deriv = np.concatenate(
-            [lam_deriv[:, None], np.zeros((len(lam_deriv), 1), dtype=np.int64)], axis=1
-        ).ravel()[: max(len(lam) - 1, 1)]
-        x_inv = self.field.exp_np[(-pos) % self.n]
-        num = self.field.poly_eval_many(omega, x_inv)
-        den = self.field.poly_eval_many(lam_deriv, x_inv)
-        if np.any(den == 0) or np.any(num == 0):
-            return None
-        logs = self.field.log_np
-        mag = self.field.exp_np[(logs[num] - logs[den]) % (self.field.order - 1)]
-
-        fixed = rx.copy()
-        fixed[pos] ^= mag
-        if self.syndromes(fixed).any():
-            return None
-        return fixed[2 * self.t :].copy()
+        return self._correct(self._word(rx_syms, self.n, np.int64, "received word", "symbols"))
 
     def encode_bits(self, msg_bits) -> np.ndarray:
-        """Encode a k*8 bit vector; bits map to symbols MSB first."""
-        bits = np.asarray(msg_bits, dtype=np.uint8)
-        if bits.shape != (self.k_bits,):
-            raise ValueError(f"message must be {self.k_bits} bits, got {bits.shape}")
-        syms = np.packbits(bits)
-        return np.unpackbits(self.encode(syms).astype(np.uint8))
+        """Encode a k*m bit vector; bits map to symbols MSB first."""
+        return self._encode_bits(self._word(msg_bits, self.k_bits, np.uint8, "message", "bits"))
 
     def decode_bits(self, rx_bits):
-        bits = np.asarray(rx_bits, dtype=np.uint8)
-        if bits.shape != (self.n_bits,):
-            raise ValueError(f"received word must be {self.n_bits} bits, got {bits.shape}")
-        msg = self.decode(np.packbits(bits).astype(np.int64))
+        bits = self._word(rx_bits, self.n_bits, np.uint8, "received word", "bits")
+        msg = self.decode(self._symbols(bits))
         if msg is None:
             return None
-        return np.unpackbits(msg.astype(np.uint8))
+        return self._bits(msg)

@@ -12,8 +12,6 @@ from risecure.puf import SramPuf
 def test_constructor_validation():
     with pytest.raises(ValueError):
         LookasideBuffer(0)
-    with pytest.raises(ValueError):
-        LookasideBuffer(4, policy="random")
     buf = LookasideBuffer(4)
     assert buf.capacity == 4 and len(buf) == 0
 
@@ -26,16 +24,6 @@ def test_fifo_eviction_order_ignores_hits():
     buf.insert("c", 3)
     assert buf.lookup("a") is None  # oldest evicted despite recent hit
     assert buf.lookup("b") == 2 and buf.lookup("c") == 3
-
-
-def test_lru_hit_refreshes_position():
-    buf = LookasideBuffer(2, policy="lru")
-    buf.insert("a", 1)
-    buf.insert("b", 2)
-    buf.lookup("a")
-    buf.insert("c", 3)
-    assert buf.lookup("b") is None  # b was least recently used
-    assert buf.lookup("a") == 1
 
 
 def test_replace_in_place_keeps_position():

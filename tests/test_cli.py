@@ -134,6 +134,18 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert rc == 1 and "32 hex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c0", ["-1", str(1 << 64)])
+def test_out_of_range_inner_challenge_exits_1(tmp_path, capsys, c0):
+    sys_path = tmp_path / "arb.json"
+    assert main(["puf", "new", "--kind", "arbiter", "--seed", "9", "-o", str(sys_path)]) == 0
+    capsys.readouterr()
+    rc = main(["enroll", "--system", str(sys_path), "--c0", c0, "--seed", "9",
+               "-o", str(tmp_path / "h.json")])
+    assert rc == 1 and "error: inner challenge c0" in capsys.readouterr().err
+    rc = main(["sample", "--system", str(sys_path), "--c0", c0, "--mode", "raw"])
+    assert rc == 1 and "error: inner challenge c0" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--system", "x", "--c0", "0", "--mode", "psychic"])

@@ -1,0 +1,94 @@
+"""Checks on the codec core shared by BchCode and ReedSolomonCode.
+
+A brute-force nearest-codeword oracle on two small codes pins what the
+shared decoder does at every error weight, beyond t included (failure
+versus miscorrection), and a digest of decode outcomes pins the two
+full-size codes to the per-codec decoders they replaced.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from risecure.bch import BchCode
+from risecure.reed_solomon import ReedSolomonCode
+
+
+def _corrupt(code, cw, weight, rng, symbol_max):
+    """cw with `weight` distinct positions changed by nonzero magnitudes."""
+    rx = cw.copy()
+    pos = rng.choice(code.n, weight, replace=False)
+    rx[pos] ^= rng.integers(1, symbol_max + 1, weight).astype(rx.dtype)
+    return rx
+
+
+@pytest.mark.parametrize("code,symbol_max", [
+    (BchCode(m=4, t=3, primitive_poly=0x13), 1),  # BCH(15,5,3): 32 codewords
+    (ReedSolomonCode(t=2, m=3, primitive_poly=0xB), 7),  # RS(7,3): 512 codewords
+], ids=["bch-15-5", "rs-7-3"])
+def test_decode_matches_bruteforce_nearest_codeword(code, symbol_max):
+    base = symbol_max + 1
+    # every message, as digits of its index in base 2^s
+    msgs = (np.arange(base ** code.k)[:, None] // base ** np.arange(code.k)) % base
+    if symbol_max == 1:
+        msgs = msgs.astype(np.uint8)
+    book = np.array([code.encode(m) for m in msgs])
+    rng = np.random.default_rng(11)
+    per_weight = -(-3000 // (code.n + 1))
+    for weight in range(code.n + 1):
+        for _ in range(per_weight):
+            cw = book[rng.integers(len(book))]
+            rx = _corrupt(code, cw, weight, rng, symbol_max)
+            dist = np.count_nonzero(book != rx, axis=1)
+            near = np.nonzero(dist <= code.t)[0]
+            assert len(near) <= 1  # minimum distance 2t+1
+            got = code.decode(rx)
+            if len(near):
+                assert got is not None and np.array_equal(got, msgs[near[0]]), weight
+            else:
+                assert got is None, weight
+
+
+def test_rs_bit_interface_with_four_bit_symbols():
+    code = ReedSolomonCode(t=2, m=4, primitive_poly=0x13)
+    assert (code.n_bits, code.k_bits) == (60, 44)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        msg = rng.integers(0, 2, code.k_bits, dtype=np.uint8)
+        cw = code.encode_bits(msg)
+        assert cw.shape == (60,) and np.array_equal(cw[16:], msg)
+        # bits map to 4-bit symbols MSB first
+        syms = cw.reshape(15, 4) @ np.array([8, 4, 2, 1])
+        assert np.array_equal(code.encode(syms[4:]), syms)
+        rx = cw.copy()
+        for s in rng.choice(code.n, code.t, replace=False):
+            rx[4 * s + rng.choice(4, rng.integers(1, 5), replace=False)] ^= 1
+        assert np.array_equal(code.decode_bits(rx), msg)
+
+
+def _outcome_digest(code, weights, symbol_max, per_weight, seed):
+    """SHA-256 over decode outcomes (message bytes, or b"None") of a corpus."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for weight in weights:
+        for _ in range(per_weight):
+            if symbol_max == 1:
+                cw = code.encode(rng.integers(0, 2, code.k, dtype=np.uint8))
+            else:
+                cw = code.encode(rng.integers(0, symbol_max + 1, code.k))
+            got = code.decode(_corrupt(code, cw, weight, rng, symbol_max))
+            h.update(b"None" if got is None else np.asarray(got, np.uint8).tobytes())
+    return h.hexdigest()
+
+
+# Digests produced by running _outcome_digest, unchanged, against the
+# per-codec decoders of commit 0c911b8 (the RS LFSR encoder and the BCH
+# bit-flip decoder that the shared core replaced).
+@pytest.mark.parametrize("code,symbol_max,digest", [
+    (BchCode(), 1, "2f6cc7e4a3fa28135c31c3f0b298325ded96f8e48ba585eac3b0a8a570402554"),
+    (ReedSolomonCode(), 255, "a5913f1f5a4a7a491faaa9feea738cf48d2a453eb3b0425695e2af325d86f368"),
+], ids=["bch-127-36-15", "rs-255-223-16"])
+def test_full_size_decode_outcomes_are_pinned(code, symbol_max, digest):
+    weights = range(code.t - 2, code.t + 6)
+    assert _outcome_digest(code, weights, symbol_max, 40, seed=13) == digest

@@ -55,14 +55,17 @@ def test_nonprimitive_poly_rejected():
         GF2m(4, 0x1F)
 
 
-def test_mul_vec_matches_scalar():
+def test_poly_mul_matches_scalar():
     gf = GF2m(7, 0x89)
     rng = np.random.default_rng(4)
-    a = rng.integers(0, 128, 200)
-    b = rng.integers(0, 128, 200)
-    vec = gf.mul_vec(a, b)
-    for i in range(200):
-        assert vec[i] == gf.mul(int(a[i]), int(b[i]))
+    for _ in range(20):
+        p = rng.integers(0, 128, int(rng.integers(1, 12)))
+        q = rng.integers(0, 128, int(rng.integers(1, 12)))
+        want = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                want[i + j] ^= gf.mul(int(a), int(b))
+        assert np.array_equal(gf.poly_mul(p, q), want)
 
 
 def test_poly_eval_many_matches_scalar():
