@@ -7,9 +7,9 @@ statistics of the hashed mode.
 
 import numpy as np
 
+from risecure.buffer import select_output
 from risecure.extractor import enroll, get_code
-from risecure.hashing import (bits_to_bytes, compose_response, select_output,
-                              unpredictability_report)
+from risecure.hashing import bits_to_bytes, compose_response, unpredictability_report
 from risecure.prng import stream
 from risecure.puf import SramPuf
 

@@ -9,9 +9,9 @@ attack bench that demonstrates why the hash stage is there.
 """
 
 from .bch import BchCode
-from .buffer import LookasideBuffer, sample_with_buffer
+from .buffer import LookasideBuffer, sample_with_buffer, select_output
 from .extractor import HelperData, enroll, get_code, reconstruct
-from .hashing import compose_response, select_output, unpredictability_report
+from .hashing import compose_response, unpredictability_report
 from .isa import MachineState, PufDevice
 from .puf import (ArbiterPuf, SramPuf, XorArbiterPuf, calibrate_sigma,
                   eval_raw, expand_challenge, measure_reliability, new_puf,

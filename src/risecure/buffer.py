@@ -5,12 +5,17 @@ together with its helper data. A hit serves the cached pair and skips both
 the PUF read and the ECC decode, which is where the batch-sampling speedup
 comes from. Replacement is strict insertion-order FIFO: a hit does not
 refresh an entry's position.
+
+`sample_with_buffer` is the one route from a read to R2 and R3: it checks the
+helper against the code, serves or reconstructs R2, and hashes it. The
+output mux `select_output` sends the corrected and hashed modes through it.
 """
 
 from collections import OrderedDict
 
 from .extractor import reconstruct
 from .hashing import compose_response
+from .puf import eval_raw
 
 
 class LookasideBuffer:
@@ -61,10 +66,15 @@ def sample_with_buffer(buf, puf, key, helper, code, mode="corrected",
     `key` is (puf_id, c0); only its challenge half feeds the PUF. Returns R2
     (mode 'corrected') or R3 (mode 'hashed'); a failed reconstruction
     returns None and is never cached. When `buf` is None, every call runs a
-    full reconstruction, which is the unbuffered baseline.
+    full reconstruction, which is the unbuffered baseline. Raises ValueError
+    when `helper` is missing or was enrolled on another code than `code`.
     """
     if mode not in ("corrected", "hashed"):
         raise ValueError(f"mode must be 'corrected' or 'hashed', got {mode!r}")
+    if helper is None:
+        raise ValueError(f"mode {mode!r} requires helper data")
+    if helper.code_id != code.code_id:
+        raise ValueError(f"helper data is for code {helper.code_id}, not {code.code_id}")
     entry = buf.lookup(key) if buf is not None else None
     if entry is not None:
         r2, _ = entry
@@ -79,3 +89,25 @@ def sample_with_buffer(buf, puf, key, helper, code, mode="corrected",
     if mode == "corrected":
         return r2
     return compose_response(r2, outer_challenge, code.n_bits, hash_name)
+
+
+def select_output(mode, puf, c0, code, helper=None, outer_challenge=None,
+                  noise_seed=0, hash_name="sha3-256"):
+    """Output mux over the 2-bit selector E, unbuffered.
+
+    E=0 returns the raw response R1, E=1 the corrected R2, E=2 the hashed
+    R3; E=3 is reserved and rejected. Modes 1 and 2 return None when
+    reconstruction fails.
+    """
+    mode = int(mode)
+    if mode == 0:
+        return eval_raw(puf, c0, noise_seed, code.n_bits)
+    if mode == 3:
+        raise ValueError("selector E=11 is reserved")
+    if mode not in (1, 2):
+        raise ValueError(f"selector must be a 2-bit value, got {mode}")
+    if mode == 2 and outer_challenge is None:
+        raise ValueError("mode E=10 requires an outer challenge")
+    return sample_with_buffer(None, puf, (None, c0), helper, code,
+                              "corrected" if mode == 1 else "hashed",
+                              outer_challenge, noise_seed, hash_name)

@@ -16,13 +16,12 @@ import numpy as np
 
 from .attack import run_attack
 from .bench import run_batch_bench, run_throughput_bench
+from .buffer import select_output
 from .extractor import HelperData, enroll, get_code
-from .hashing import bits_to_bytes, bytes_to_bits, select_output
-from .isa import MachineState, PufDevice, run
+from .hashing import bits_to_bytes, bytes_to_bits
+from .isa import MachineState, MemoryFault, PufDevice, run
 from .prng import derive_seed, stream
 from .puf import new_puf, puf_from_config, puf_to_config
-
-CONFIG_VERSION = 1
 
 
 def _default_seed():
@@ -41,17 +40,14 @@ def _read_json(path):
 
 
 def _load_system(path):
+    """A system file is a PUF config plus the code, buffer capacity and hash."""
     cfg = _read_json(path)
-    if cfg.get("version") != CONFIG_VERSION:
-        raise ValueError(f"unsupported system config version {cfg.get('version')!r}")
-    puf = puf_from_config({"version": 1, "kind": cfg["kind"], "seed": cfg["seed"],
-                           "params": cfg["params"]})
-    code = get_code(cfg["code"])
-    return cfg, puf, code
+    return cfg, puf_from_config(cfg), get_code(cfg["code"])
 
 
 def cmd_puf_new(args):
-    params = {}
+    if args.capacity < 1:
+        raise ValueError(f"buffer capacity must be >= 1, got {args.capacity}")
     if args.kind == "sram":
         code = get_code(args.code)
         params = {"num_blocks": args.blocks, "block_bits": code.n_bits, "p": args.p}
@@ -61,8 +57,7 @@ def cmd_puf_new(args):
         params = {"stages": args.stages, "chains": args.chains, "sigma": args.sigma}
     puf = new_puf(args.kind, args.seed, params)
     cfg = puf_to_config(puf)
-    cfg.update({"version": CONFIG_VERSION, "code": args.code,
-                "buffer_capacity": args.capacity, "hash": args.hash})
+    cfg.update({"code": args.code, "buffer_capacity": args.capacity, "hash": args.hash})
     _write_json(args.output, cfg)
     print(f"wrote {args.output}")
     return 0
@@ -176,7 +171,10 @@ def cmd_exec(args):
         device.register(args.idx, puf)
     state = MachineState(memory_size=args.mem_size, device=device)
     with open(args.program) as fh:
-        state.load_hex_program(fh.read())
+        try:
+            state.load_hex_program(fh.read())
+        except MemoryFault as exc:
+            raise ValueError(f"program does not fit in {args.mem_size} bytes: {exc}") from exc
     state.pc = args.entry
     status = run(state, max_steps=args.max_steps)
     print(json.dumps(state.dump(), indent=2))

@@ -24,7 +24,7 @@ _CODES = {}
 
 def get_code(name):
     """Look up a codec by short name ('bch', 'rs') or full code id."""
-    key = name.lower()
+    key = str(name).lower()
     if key in ("bch", "bch-127-36-15"):
         key = "bch-127-36-15"
         factory = BchCode
@@ -55,19 +55,23 @@ class HelperData:
 
     @classmethod
     def from_json(cls, doc):
-        if doc.get("version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported helper-data version {doc.get('version')!r}")
-        n = int(doc["n"])
-        raw = bytes.fromhex(doc["aux"])
+        """Parse to_json's form; malformed input raises ValueError."""
+        try:
+            if doc.get("version") != SCHEMA_VERSION:
+                raise ValueError(f"unsupported helper-data version {doc.get('version')!r}")
+            n = int(doc["n"])
+            raw = bytes.fromhex(doc["aux"])
+            code = get_code(doc["code_id"])
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed helper data: {exc}") from exc
         if len(raw) != -(-n // 8):
             raise ValueError(f"aux hex length {len(raw)} bytes inconsistent with n={n}")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
         if bits[n:].any():
             raise ValueError("nonzero padding bits in final aux byte")
-        code = get_code(doc["code_id"])
         if code.n_bits != n:
             raise ValueError(f"n={n} does not match code {doc['code_id']} (n={code.n_bits})")
-        return cls(aux=bits[:n].copy(), code_id=doc["code_id"])
+        return cls(aux=bits[:n].copy(), code_id=code.code_id)
 
 
 def enroll(puf, c0, code, rng_seed):

@@ -1,4 +1,4 @@
-"""Hash output stage: R3 = H(R2 || C), the output mux, and bit statistics.
+"""Hash output stage: R3 = H(R2 || C), and bit statistics over digests.
 
 Widths are rigid on purpose. R2 must be exactly the code length and the
 outer challenge C exactly 128 bits, so no length-extension or padding games
@@ -8,9 +8,6 @@ are possible; any deviation raises instead of truncating or padding.
 import hashlib
 
 import numpy as np
-
-from .extractor import reconstruct
-from .puf import eval_raw
 
 OUTER_CHALLENGE_BITS = 128
 DIGEST_BITS = 256
@@ -42,31 +39,6 @@ def compose_response(r2_bits, c_bits, n_code, hash_name="sha3-256"):
     h.update(bits_to_bytes(r2))
     h.update(bits_to_bytes(c))
     return bytes_to_bits(h.digest())
-
-
-def select_output(mode, puf, c0, code, helper=None, outer_challenge=None,
-                  noise_seed=0, hash_name="sha3-256"):
-    """Output mux over the 2-bit selector E.
-
-    E=0 returns the raw response R1, E=1 the corrected R2, E=2 the hashed
-    R3; E=3 is reserved and rejected. Modes 1 and 2 return None when
-    reconstruction fails.
-    """
-    mode = int(mode)
-    if mode == 0:
-        return eval_raw(puf, c0, noise_seed, code.n_bits)
-    if mode in (1, 2):
-        if helper is None:
-            raise ValueError(f"mode E={mode:02b} requires helper data")
-        if mode == 2 and outer_challenge is None:
-            raise ValueError("mode E=10 requires an outer challenge")
-        r2 = reconstruct(puf, c0, helper, noise_seed)
-        if mode == 1 or r2 is None:
-            return r2
-        return compose_response(r2, outer_challenge, code.n_bits, hash_name)
-    if mode == 3:
-        raise ValueError("selector E=11 is reserved")
-    raise ValueError(f"selector must be a 2-bit value, got {mode}")
 
 
 def unpredictability_report(samples, threshold=4.0):

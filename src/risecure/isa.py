@@ -15,6 +15,10 @@ their source registers because their operands (96-bit parameter block,
 
 Error paths leave the aux table, the output region, and the noise counter
 untouched, except that a failed reconstruction consumes its noisy read.
+
+Base-ISA meaning lives in one table per instruction class (branch
+predicate, load width and sign, store width, ALU op); decode takes the
+instruction names from them and step the semantics.
 """
 
 import hashlib
@@ -67,15 +71,38 @@ def encode_fields(instr):
     )
 
 
-_OP_NAMES = {0b000: ("add", "sub"), 0b001: ("sll", None), 0b010: ("slt", None),
-             0b011: ("sltu", None), 0b100: ("xor", None), 0b101: ("srl", "sra"),
-             0b110: ("or", None), 0b111: ("and", None)}
-_IMM_NAMES = {0b000: "addi", 0b010: "slti", 0b011: "sltiu", 0b100: "xori",
-              0b110: "ori", 0b111: "andi"}
-_LOAD_NAMES = {0b000: "lb", 0b001: "lh", 0b010: "lw", 0b100: "lbu", 0b101: "lhu"}
-_STORE_NAMES = {0b000: "sb", 0b001: "sh", 0b010: "sw"}
-_BRANCH_NAMES = {0b000: "beq", 0b001: "bne", 0b100: "blt", 0b101: "bge",
-                 0b110: "bltu", 0b111: "bgeu"}
+OP_LUI, OP_AUIPC, OP_JAL, OP_JALR = 0b0110111, 0b0010111, 0b1101111, 0b1100111
+OP_BRANCH, OP_LOAD, OP_STORE = 0b1100011, 0b0000011, 0b0100011
+OP_IMM, OP_REG, OP_SYSTEM = 0b0010011, 0b0110011, 0b1110011
+_SIGN = 0x80000000  # xor with it maps signed 32-bit order onto unsigned order
+
+# Register values are unsigned 32-bit; immediates are sign-extended.
+_BRANCHES = {  # funct3: (name, taken(rs1, rs2))
+    0b000: ("beq", lambda a, b: a == b),
+    0b001: ("bne", lambda a, b: a != b),
+    0b100: ("blt", lambda a, b: a ^ _SIGN < b ^ _SIGN),
+    0b101: ("bge", lambda a, b: a ^ _SIGN >= b ^ _SIGN),
+    0b110: ("bltu", lambda a, b: a < b),
+    0b111: ("bgeu", lambda a, b: a >= b),
+}
+_LOADS = {  # funct3: (name, bytes, sign-extends)
+    0b000: ("lb", 1, True), 0b001: ("lh", 2, True), 0b010: ("lw", 4, False),
+    0b100: ("lbu", 1, False), 0b101: ("lhu", 2, False),
+}
+_STORES = {0b000: ("sb", 1), 0b001: ("sh", 2), 0b010: ("sw", 4)}  # funct3: (name, bytes)
+_ALU = {  # (funct3, funct7 == 0100000): (register name, immediate name, op(rs1, rs2 or imm))
+    (0b000, 0): ("add", "addi", lambda a, b: a + b),
+    (0b000, 1): ("sub", None, lambda a, b: a - b),
+    (0b001, 0): ("sll", "slli", lambda a, b: a << (b & 0x1F)),
+    (0b010, 0): ("slt", "slti", lambda a, b: int(a ^ _SIGN < (b & MASK32) ^ _SIGN)),
+    (0b011, 0): ("sltu", "sltiu", lambda a, b: int(a < (b & MASK32))),
+    (0b100, 0): ("xor", "xori", lambda a, b: a ^ b),
+    (0b101, 0): ("srl", "srli", lambda a, b: a >> (b & 0x1F)),
+    (0b101, 1): ("sra", "srai", lambda a, b: _sext(a, 32) >> (b & 0x1F)),
+    (0b110, 0): ("or", "ori", lambda a, b: a | b),
+    (0b111, 0): ("and", "andi", lambda a, b: a & b),
+}
+_ALU_OPS = {name: op for reg, imm, op in _ALU.values() for name in (reg, imm) if name}
 
 
 def decode(word):
@@ -87,65 +114,58 @@ def decode(word):
     rs1 = (word >> 15) & 0x1F
     rs2 = (word >> 20) & 0x1F
     funct7 = (word >> 25) & 0x7F
-    common = dict(opcode=opcode, rd=rd, rs1=rs1, rs2=rs2, funct3=funct3, funct7=funct7)
+    fields = (opcode, rd, rs1, rs2, funct3, funct7)
+    i_imm = _sext(word >> 20, 12)
 
+    if opcode == OP_IMM:
+        if funct3 == 0b001 and funct7 != 0:
+            raise IllegalInstruction("bad slli encoding")
+        if funct3 == 0b001 or funct3 == 0b101:
+            if funct7 not in (0, 0b0100000):
+                raise IllegalInstruction("bad shift encoding")
+            return Instr(_ALU[funct3, funct7 >> 5][1], *fields, rs2)
+        return Instr(_ALU[funct3, 0][1], *fields, i_imm)
+    if opcode == OP_REG:
+        entry = _ALU.get((funct3, funct7 >> 5)) if funct7 in (0, 0b0100000) else None
+        if entry is None:
+            raise IllegalInstruction(f"bad funct7 {funct7:#x} for register op")
+        return Instr(entry[0], *fields)
+    if opcode == OP_LOAD:
+        if funct3 not in _LOADS:
+            raise IllegalInstruction(f"bad load funct3 {funct3:#o}")
+        return Instr(_LOADS[funct3][0], *fields, i_imm)
+    if opcode == OP_STORE:
+        if funct3 not in _STORES:
+            raise IllegalInstruction(f"bad store funct3 {funct3:#o}")
+        return Instr(_STORES[funct3][0], *fields, _sext(((word >> 25) << 5) | rd, 12))
+    if opcode == OP_BRANCH:
+        if funct3 not in _BRANCHES:
+            raise IllegalInstruction(f"bad branch funct3 {funct3:#o}")
+        imm = ((word >> 31) << 12) | (((word >> 7) & 1) << 11) \
+            | (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
+        return Instr(_BRANCHES[funct3][0], *fields, _sext(imm, 13))
     if opcode == CUSTOM_OPCODE:
         if funct7 != 0:
             raise IllegalInstruction(f"reserved funct7 {funct7:#x} at custom opcode")
         if funct3 == F3_INNER_INIT:
             if rs2 != 0:
                 raise IllegalInstruction("inner_puf_init requires rs2=0")
-            return Instr("inner_puf_init", **common)
+            return Instr("inner_puf_init", *fields)
         if funct3 == F3_OUTER_CHAL:
-            return Instr("outer_puf_chal", **common)
+            return Instr("outer_puf_chal", *fields)
         raise IllegalInstruction(f"reserved funct3 {funct3:#o} at custom opcode")
-
-    if opcode == 0b0110111:
-        return Instr("lui", **common, imm=word & 0xFFFFF000)
-    if opcode == 0b0010111:
-        return Instr("auipc", **common, imm=word & 0xFFFFF000)
-    if opcode == 0b1101111:
+    if opcode == OP_LUI:
+        return Instr("lui", *fields, word & 0xFFFFF000)
+    if opcode == OP_AUIPC:
+        return Instr("auipc", *fields, word & 0xFFFFF000)
+    if opcode == OP_JAL:
         imm = ((word >> 31) << 20) | (((word >> 12) & 0xFF) << 12) \
             | (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1)
-        return Instr("jal", **common, imm=_sext(imm, 21))
-    if opcode == 0b1100111 and funct3 == 0:
-        return Instr("jalr", **common, imm=_sext(word >> 20, 12))
-    if opcode == 0b1100011:
-        if funct3 not in _BRANCH_NAMES:
-            raise IllegalInstruction(f"bad branch funct3 {funct3:#o}")
-        imm = ((word >> 31) << 12) | (((word >> 7) & 1) << 11) \
-            | (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
-        return Instr(_BRANCH_NAMES[funct3], **common, imm=_sext(imm, 13))
-    if opcode == 0b0000011:
-        if funct3 not in _LOAD_NAMES:
-            raise IllegalInstruction(f"bad load funct3 {funct3:#o}")
-        return Instr(_LOAD_NAMES[funct3], **common, imm=_sext(word >> 20, 12))
-    if opcode == 0b0100011:
-        if funct3 not in _STORE_NAMES:
-            raise IllegalInstruction(f"bad store funct3 {funct3:#o}")
-        imm = ((word >> 25) << 5) | rd
-        return Instr(_STORE_NAMES[funct3], **common, imm=_sext(imm, 12))
-    if opcode == 0b0010011:
-        if funct3 == 0b001:
-            if funct7 != 0:
-                raise IllegalInstruction("bad slli encoding")
-            return Instr("slli", **common, imm=rs2)
-        if funct3 == 0b101:
-            if funct7 == 0:
-                return Instr("srli", **common, imm=rs2)
-            if funct7 == 0b0100000:
-                return Instr("srai", **common, imm=rs2)
-            raise IllegalInstruction("bad shift encoding")
-        return Instr(_IMM_NAMES[funct3], **common, imm=_sext(word >> 20, 12))
-    if opcode == 0b0110011:
-        name, alt = _OP_NAMES[funct3]
-        if funct7 == 0b0100000 and alt is not None:
-            return Instr(alt, **common)
-        if funct7 == 0:
-            return Instr(name, **common)
-        raise IllegalInstruction(f"bad funct7 {funct7:#x} for register op")
-    if opcode == 0b1110011 and word == 0x00100073:
-        return Instr("ebreak", **common)
+        return Instr("jal", *fields, _sext(imm, 21))
+    if opcode == OP_JALR and funct3 == 0:
+        return Instr("jalr", *fields, i_imm)
+    if opcode == OP_SYSTEM and word == 0x00100073:
+        return Instr("ebreak", *fields)
     raise IllegalInstruction(f"unknown instruction word {word:#010x}")
 
 
@@ -293,60 +313,51 @@ def step(state):
     """
     pc = state.pc
     try:
-        word = int.from_bytes(state.mem_read(pc, 4), "little")
-        instr = decode(word)
+        instr = decode(int.from_bytes(state.mem_read(pc, 4), "little"))
     except (MemoryFault, IllegalInstruction) as exc:
         state.status = "trap"
         state.trap_cause = str(exc)
         return state.status
 
     regs = state.regs
-    name = instr.name
+    opcode = instr.opcode
     next_pc = (pc + 4) & MASK32
     try:
-        if name == "ebreak":
-            state.status = "halted"
-            return state.status
-        if name in ("inner_puf_init", "outer_puf_chal"):
+        if opcode == OP_IMM:
+            state.write_reg(instr.rd, _ALU_OPS[instr.name](regs[instr.rs1], instr.imm))
+        elif opcode == OP_REG:
+            state.write_reg(instr.rd, _ALU_OPS[instr.name](regs[instr.rs1], regs[instr.rs2]))
+        elif opcode == OP_LOAD:
+            _, size, signed = _LOADS[instr.funct3]
+            data = state.mem_read((regs[instr.rs1] + instr.imm) & MASK32, size)
+            state.write_reg(instr.rd, int.from_bytes(data, "little", signed=signed))
+        elif opcode == OP_STORE:
+            size = _STORES[instr.funct3][1]
+            state.mem_write((regs[instr.rs1] + instr.imm) & MASK32,
+                            (regs[instr.rs2] & ((1 << (size * 8)) - 1)).to_bytes(size, "little"))
+        elif opcode == OP_BRANCH:
+            if _BRANCHES[instr.funct3][1](regs[instr.rs1], regs[instr.rs2]):
+                next_pc = (pc + instr.imm) & MASK32
+        elif opcode == OP_LUI:
+            state.write_reg(instr.rd, instr.imm)
+        elif opcode == OP_AUIPC:
+            state.write_reg(instr.rd, pc + instr.imm)
+        elif opcode == OP_JAL:
+            state.write_reg(instr.rd, pc + 4)
+            next_pc = (pc + instr.imm) & MASK32
+        elif opcode == OP_JALR:
+            next_pc = (regs[instr.rs1] + instr.imm) & ~1 & MASK32
+            state.write_reg(instr.rd, pc + 4)
+        elif opcode == CUSTOM_OPCODE:
             if state.device is None:
                 raise IllegalInstruction("custom opcode with no PUF device attached")
-            if name == "inner_puf_init":
+            if instr.funct3 == F3_INNER_INIT:
                 _exec_inner_puf_init(state, instr)
             else:
                 _exec_outer_puf_chal(state, instr)
-        elif name == "lui":
-            state.write_reg(instr.rd, instr.imm)
-        elif name == "auipc":
-            state.write_reg(instr.rd, pc + instr.imm)
-        elif name == "jal":
-            state.write_reg(instr.rd, pc + 4)
-            next_pc = (pc + instr.imm) & MASK32
-        elif name == "jalr":
-            target = (regs[instr.rs1] + instr.imm) & ~1 & MASK32
-            state.write_reg(instr.rd, pc + 4)
-            next_pc = target
-        elif name in _BRANCH_NAMES.values():
-            a, b = regs[instr.rs1], regs[instr.rs2]
-            sa, sb = _sext(a, 32), _sext(b, 32)
-            taken = {
-                "beq": a == b, "bne": a != b, "blt": sa < sb, "bge": sa >= sb,
-                "bltu": a < b, "bgeu": a >= b,
-            }[name]
-            if taken:
-                next_pc = (pc + instr.imm) & MASK32
-        elif name in _LOAD_NAMES.values():
-            addr = (regs[instr.rs1] + instr.imm) & MASK32
-            size = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}[name]
-            val = int.from_bytes(state.mem_read(addr, size), "little")
-            if name in ("lb", "lh"):
-                val = _sext(val, size * 8) & MASK32
-            state.write_reg(instr.rd, val)
-        elif name in _STORE_NAMES.values():
-            addr = (regs[instr.rs1] + instr.imm) & MASK32
-            size = {"sb": 1, "sh": 2, "sw": 4}[name]
-            state.mem_write(addr, (regs[instr.rs2] & ((1 << (size * 8)) - 1)).to_bytes(size, "little"))
-        else:
-            state.write_reg(instr.rd, _alu(name, instr, regs))
+        else:  # ebreak, the only system instruction decode accepts
+            state.status = "halted"
+            return state.status
     except (MemoryFault, IllegalInstruction) as exc:
         state.status = "trap"
         state.trap_cause = str(exc)
@@ -359,37 +370,6 @@ def step(state):
     state.pc = next_pc
     state.status = "continue"
     return state.status
-
-
-_IMM_ALU = {"addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai"}
-
-
-def _alu(name, instr, regs):
-    a = regs[instr.rs1]
-    b = instr.imm if name in _IMM_ALU else regs[instr.rs2]
-    sa = _sext(a, 32)
-    if name in ("addi", "add"):
-        return a + b
-    if name == "sub":
-        return a - b
-    if name in ("xori", "xor"):
-        return a ^ b
-    if name in ("ori", "or"):
-        return a | b
-    if name in ("andi", "and"):
-        return a & b
-    if name in ("slti", "slt"):
-        return int(sa < _sext(b, 32))
-    if name in ("sltiu", "sltu"):
-        return int(a < (b & MASK32))
-    shamt = b & 0x1F
-    if name in ("slli", "sll"):
-        return a << shamt
-    if name in ("srli", "srl"):
-        return a >> shamt
-    if name in ("srai", "sra"):
-        return sa >> shamt
-    raise IllegalInstruction(f"unhandled ALU op {name}")
 
 
 def run(state, max_steps=1_000_000):

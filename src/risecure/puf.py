@@ -4,6 +4,10 @@ Every model is deterministic given its seed. Noisy reads additionally take a
 ``noise_seed`` so that a read can be replayed bit-exactly; reference (noise
 free) responses are pure functions of the instance and the challenge.
 
+Every kind answers ``read(c0, n_bits, noise_seed=None)``: a None noise seed
+gives the reference read. SRAM treats c0 as a block index; the arbiter
+kinds share one read path.
+
 The arbiter family follows the standard additive delay model: a challenge c
 of s bits is mapped to parity features Phi(c) in {-1,+1}^(s+1), and the
 response bit is ``w . Phi(c) + eps > 0`` with per-evaluation Gaussian noise
@@ -68,31 +72,47 @@ class SramPuf:
         self.block_bits = int(block_bits)
         self.p = float(p)
 
-    def _check_block(self, block):
-        block = int(block)
+    def read(self, c0, n_bits, noise_seed=None):
+        """Block c0, which must be n_bits wide; its power-up value when noise_seed is None."""
+        if n_bits != self.block_bits:
+            raise ValueError(f"code length {n_bits} != SRAM block width {self.block_bits}")
+        block = int(c0)
         if not 0 <= block < self.num_blocks:
             raise ValueError(f"block index {block} out of range [0, {self.num_blocks})")
-        return block
-
-    def reference_block(self, block):
-        block = self._check_block(block)
-        g = stream("sram-ref", self.seed, block)
-        return g.integers(0, 2, self.block_bits, dtype=np.uint8)
-
-    def read_block(self, block, noise_seed):
-        block = self._check_block(block)
-        ref = self.reference_block(block)
-        if self.p == 0:
+        ref = stream("sram-ref", self.seed, block).integers(0, 2, self.block_bits, dtype=np.uint8)
+        if noise_seed is None or self.p == 0:
             return ref
         g = stream("sram-read", self.seed, block, noise_seed)
-        flips = (g.random(self.block_bits) < self.p).astype(np.uint8)
-        return ref ^ flips
+        return ref ^ (g.random(self.block_bits) < self.p).astype(np.uint8)
+
+    def draw_challenge(self, g, n_bits):
+        """A random inner challenge from g and the width of its read."""
+        return int(g.integers(0, self.num_blocks)), self.block_bits
+
+    def sample_margins(self, g, count):
+        raise ValueError("sigma calibration applies to the arbiter kinds only")
 
     def params(self):
         return {"num_blocks": self.num_blocks, "block_bits": self.block_bits, "p": self.p}
 
 
-class ArbiterPuf:
+class _DelayPuf:
+    """Read path shared by the arbiter kinds: c0 expands into n_bits sub-challenges."""
+
+    def read(self, c0, n_bits, noise_seed=None):
+        """n_bits response bits for inner challenge c0; noiseless when noise_seed is None."""
+        return self.eval_bits(expand_challenge(c0, n_bits, self.stages), noise_seed)
+
+    def draw_challenge(self, g, n_bits):
+        """A random inner challenge from g and the width of its read."""
+        return int(g.integers(0, 1 << 63)), n_bits
+
+    def sample_margins(self, g, count):
+        """Noiseless margins of `count` random stage-width challenges drawn from g."""
+        return self.margins(g.integers(0, 2, (count, self.stages), dtype=np.uint8))
+
+
+class ArbiterPuf(_DelayPuf):
     """Strong PUF: additive delay model with seeded standard-normal weights."""
 
     kind = "arbiter"
@@ -128,7 +148,7 @@ class ArbiterPuf:
         return {"stages": self.stages, "sigma": self.sigma}
 
 
-class XorArbiterPuf:
+class XorArbiterPuf(_DelayPuf):
     """XOR of k independent arbiter chains sharing the challenge."""
 
     kind = "xor"
@@ -144,6 +164,10 @@ class XorArbiterPuf:
             ArbiterPuf(derive_seed("xor-chain", seed, i), stages, sigma)
             for i in range(chains)
         ]
+
+    def margins(self, challenges):
+        """Per-chain noiseless margins, stacked as (N, chains)."""
+        return np.stack([chain.margins(challenges) for chain in self.chains], axis=1)
 
     def eval_bits(self, challenges, noise_seed=None):
         acc = np.zeros(len(np.atleast_2d(np.asarray(challenges))), dtype=np.uint8)
@@ -174,14 +198,13 @@ def puf_to_config(puf):
 
 
 def puf_from_config(cfg):
-    if cfg.get("version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported PUF config version {cfg.get('version')!r}")
-    return new_puf(cfg["kind"], cfg["seed"], cfg.get("params"))
-
-
-def eval_bit(puf, challenge_bits, noise_seed=None):
-    """Single-challenge response bit for the arbiter kinds."""
-    return int(puf.eval_bits(np.asarray(challenge_bits)[None, :], noise_seed)[0])
+    """Rebuild a PUF from puf_to_config's form; malformed input raises ValueError."""
+    try:
+        if cfg.get("version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported PUF config version {cfg.get('version')!r}")
+        return new_puf(cfg["kind"], cfg["seed"], cfg.get("params"))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed PUF config: {exc}") from exc
 
 
 def eval_raw(puf, c0, noise_seed, n_bits):
@@ -190,28 +213,20 @@ def eval_raw(puf, c0, noise_seed, n_bits):
     SRAM treats c0 as a block index and requires n_bits == block_bits;
     arbiter kinds expand c0 into n_bits sub-challenges first.
     """
-    if isinstance(puf, SramPuf):
-        if n_bits != puf.block_bits:
-            raise ValueError(f"code length {n_bits} != SRAM block width {puf.block_bits}")
-        return puf.read_block(c0, noise_seed)
-    subs = expand_challenge(c0, n_bits, puf.stages)
-    return puf.eval_bits(subs, noise_seed)
+    return puf.read(c0, n_bits, noise_seed)
 
 
 def reference_response(puf, c0, n_bits):
     """Noise-free enrolled value: eval_raw with noise disabled."""
-    if isinstance(puf, SramPuf):
-        if n_bits != puf.block_bits:
-            raise ValueError(f"code length {n_bits} != SRAM block width {puf.block_bits}")
-        return puf.reference_block(c0)
-    return puf.eval_bits(expand_challenge(c0, n_bits, puf.stages), None)
+    return puf.read(c0, n_bits)
 
 
 def measure_reliability(puf, trials, seed, n_bits=127):
     """Fraction of read bits agreeing with the reference across fresh reads.
 
-    Each trial draws a random inner challenge, performs one noisy read of
-    n_bits and compares it to the noiseless reference.
+    Each trial draws a random inner challenge, performs one noisy read
+    (n_bits wide, or one block for SRAM) and compares it to the noiseless
+    reference.
     """
     if trials < 1000:
         raise ValueError("reliability estimates need at least 1000 trials")
@@ -219,16 +234,11 @@ def measure_reliability(puf, trials, seed, n_bits=127):
     agree = 0
     total = 0
     for t in range(trials):
-        if isinstance(puf, SramPuf):
-            c0 = int(g.integers(0, puf.num_blocks))
-            n_bits_t = puf.block_bits
-        else:
-            c0 = int(g.integers(0, 1 << 63))
-            n_bits_t = n_bits
-        ref = reference_response(puf, c0, n_bits_t)
-        got = eval_raw(puf, c0, derive_seed("reliability-read", seed, t), n_bits_t)
+        c0, width = puf.draw_challenge(g, n_bits)
+        ref = puf.read(c0, width)
+        got = puf.read(c0, width, derive_seed("reliability-read", seed, t))
         agree += int(np.sum(ref == got))
-        total += n_bits_t
+        total += width
     return agree / total
 
 
@@ -259,15 +269,7 @@ def calibrate_sigma(puf, target_reliability, trials=1000, seed=0, n_bits=127):
         raise ValueError(f"target reliability must be in (0.5, 1], got {target_reliability}")
     if target_reliability == 1.0:
         return 0.0
-    g = stream("calibration-challenges", seed)
-    count = trials * n_bits
-    challenges = g.integers(0, 2, (count, puf.stages), dtype=np.uint8)
-    if isinstance(puf, XorArbiterPuf):
-        margins = np.stack([ch.margins(challenges) for ch in puf.chains], axis=1)
-    elif isinstance(puf, ArbiterPuf):
-        margins = puf.margins(challenges)
-    else:
-        raise ValueError("sigma calibration applies to the arbiter kinds only")
+    margins = puf.sample_margins(stream("calibration-challenges", seed), trials * n_bits)
 
     lo, hi = 0.0, 1.0
     while _expected_reliability(puf, hi, margins) > target_reliability:

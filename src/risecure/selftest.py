@@ -13,9 +13,9 @@ import hashlib
 import numpy as np
 
 from .bch import BchCode
-from .buffer import LookasideBuffer
+from .buffer import LookasideBuffer, select_output
 from .extractor import enroll, get_code, reconstruct
-from .hashing import compose_response, select_output
+from .hashing import compose_response
 from .isa import (MachineState, PufDevice, asm_ebreak, asm_inner_puf_init,
                   asm_outer_puf_chal, decode, encode_fields, li32, run)
 from .prng import splitmix64, stream

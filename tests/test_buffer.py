@@ -6,7 +6,7 @@ import pytest
 from risecure.buffer import LookasideBuffer, sample_with_buffer
 from risecure.extractor import enroll, get_code
 from risecure.prng import stream
-from risecure.puf import SramPuf
+from risecure.puf import ArbiterPuf, SramPuf
 
 
 def test_constructor_validation():
@@ -114,3 +114,16 @@ def test_failed_reconstruction_not_cached():
             fails += 1
     assert fails == 10
     assert len(buf) == 0 and buf.decode_calls == 10
+
+
+def test_helper_must_be_present_and_enrolled_on_the_code():
+    puf = ArbiterPuf(5)
+    rs_helper, _ = enroll(puf, 0, get_code("rs"), rng_seed=0)
+    outer = stream("t", 1).integers(0, 2, 128, dtype=np.uint8)
+    buf = LookasideBuffer(4)
+    for mode in ("corrected", "hashed"):
+        for helper in (rs_helper, None):
+            with pytest.raises(ValueError):
+                sample_with_buffer(buf, puf, ("dev", 0), helper, get_code("bch"), mode=mode,
+                                   outer_challenge=outer)
+    assert len(buf) == 0 and buf.decode_calls == 0 and buf.misses == 0

@@ -146,6 +146,66 @@ def test_out_of_range_inner_challenge_exits_1(tmp_path, capsys, c0):
     assert rc == 1 and "error: inner challenge c0" in capsys.readouterr().err
 
 
+_MALFORMED = {  # case: (file to corrupt, corruption)
+    "params-unknown-key": ("system", lambda d: {**d, "params": {**d["params"], "bogus": 1}}),
+    "params-list": ("system", lambda d: {**d, "params": [1, 2]}),
+    "seed-list": ("system", lambda d: {**d, "seed": [9]}),
+    "system-list": ("system", lambda d: [d]),
+    "aux-number": ("helper", lambda d: {**d, "aux": 5}),
+    "helper-list": ("helper", lambda d: [d]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_json_files_exit_1(tmp_path, capsys, case):
+    which, corrupt = _MALFORMED[case]
+    sys_path = _new_system(tmp_path)
+    helper_path = tmp_path / "h.json"
+    assert main(["enroll", "--system", str(sys_path), "--c0", "0", "-o", str(helper_path)]) == 0
+    path = sys_path if which == "system" else helper_path
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    capsys.readouterr()
+    rc = main(["sample", "--system", str(sys_path), "--c0", "0", "--mode", "corrected",
+               "--helper", str(helper_path)])
+    assert rc == 1 and "error:" in capsys.readouterr().err
+    if which == "system":
+        rc = main(["enroll", "--system", str(sys_path), "--c0", "0",
+                   "-o", str(tmp_path / "h2.json")])
+        assert rc == 1 and "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["corrected", "hashed"])
+def test_helper_enrolled_on_another_code_exits_1(tmp_path, capsys, mode):
+    paths = {}
+    for code in ("bch", "rs"):
+        paths[code] = tmp_path / f"{code}.json"
+        assert main(["puf", "new", "--kind", "arbiter", "--code", code, "--seed", "9",
+                     "-o", str(paths[code])]) == 0
+    rs_helper = tmp_path / "rs-helper.json"
+    assert main(["enroll", "--system", str(paths["rs"]), "--c0", "3", "-o", str(rs_helper)]) == 0
+    capsys.readouterr()
+    rc = main(["sample", "--system", str(paths["bch"]), "--c0", "3", "--mode", mode,
+               "--helper", str(rs_helper)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "error: helper data is for code rs-255-223-16" in captured.err
+
+
+def test_zero_buffer_capacity_rejected_at_puf_new(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    rc = main(["puf", "new", "--kind", "sram", "--capacity", "0", "-o", str(path)])
+    assert rc == 1 and "error: buffer capacity" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_exec_program_larger_than_memory_exits_1(tmp_path, capsys):
+    prog = tmp_path / "prog.hex"
+    prog.write_text("0: 00100073\n")
+    rc = main(["exec", "--program", str(prog), "--mem-size", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and "error: program does not fit" in captured.err
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--system", "x", "--c0", "0", "--mode", "psychic"])

@@ -16,10 +16,11 @@ class _ControlledSram(SramPuf):
         super().__init__(seed, p=0.0, **kw)
         self.flips = ()
 
-    def read_block(self, block, noise_seed):
-        bits = self.reference_block(block).copy()
-        for pos in self.flips:
-            bits[pos] ^= 1
+    def read(self, c0, n_bits, noise_seed=None):
+        bits = super().read(c0, n_bits).copy()
+        if noise_seed is not None:
+            for pos in self.flips:
+                bits[pos] ^= 1
         return bits
 
 

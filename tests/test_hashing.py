@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import fips202_ref
+from risecure.buffer import select_output
 from risecure.extractor import enroll, get_code
 from risecure.hashing import (OUTER_CHALLENGE_BITS, bits_to_bytes,
-                              bytes_to_bits, compose_response, select_output,
+                              bytes_to_bits, compose_response,
                               unpredictability_report)
 from risecure.prng import stream
 from risecure.puf import SramPuf, eval_raw

@@ -155,6 +155,28 @@ def test_branch_loop_with_backward_jump():
     assert st.regs[1] == 0 and st.pc == 0x10
 
 
+def test_conditional_branches_against_python_oracle():
+    def signed(v):
+        return v - (1 << 32) if v & 0x80000000 else v
+
+    oracle = {0b000: lambda a, b: a == b, 0b001: lambda a, b: a != b,
+              0b100: lambda a, b: signed(a) < signed(b),
+              0b101: lambda a, b: signed(a) >= signed(b),
+              0b110: lambda a, b: a < b, 0b111: lambda a, b: a >= b}
+    operands = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+    for f3, taken in oracle.items():
+        outcomes = set()
+        for a in operands:
+            for b in operands:
+                # x3 = 1 when the branch falls through, 2 when it jumps to 0x0c
+                st = _run_words([asm_beq(1, 2, 12) | (f3 << 12), asm_addi(3, 0, 1),
+                                 asm_ebreak(), asm_addi(3, 0, 2)], {1: a, 2: b})
+                assert st.status == "halted"
+                assert st.regs[3] == (2 if taken(a, b) else 1), (f3, a, b)
+                outcomes.add(taken(a, b))
+        assert outcomes == {True, False}, f3
+
+
 def test_jalr_clears_low_bit_and_traps_when_misaligned():
     st = MachineState(memory_size=4096)
     st.regs[1] = 0x101

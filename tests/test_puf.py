@@ -3,7 +3,7 @@ import pytest
 
 from risecure.prng import GOLDEN_GAMMA, splitmix64, stream
 from risecure.puf import (ArbiterPuf, SramPuf, XorArbiterPuf, calibrate_sigma,
-                          eval_bit, eval_raw, expand_challenge,
+                          eval_raw, expand_challenge,
                           measure_reliability, new_puf, parity_features,
                           puf_from_config, puf_to_config, reference_response)
 
@@ -48,8 +48,8 @@ def test_sram_reference_is_deterministic():
     a = SramPuf(1, p=0.0)
     b = SramPuf(1, p=0.0)
     for blk in range(a.num_blocks):
-        assert np.array_equal(a.reference_block(blk), b.reference_block(blk))
-    assert not np.array_equal(a.reference_block(0), a.reference_block(1))
+        assert np.array_equal(a.read(blk, 127), b.read(blk, 127))
+    assert not np.array_equal(a.read(0, 127), a.read(1, 127))
 
 
 def test_sram_zero_noise_fixed_point_exhaustive_blocks():
@@ -90,7 +90,7 @@ def test_arbiter_bit_matches_independent_dot_product():
     # transform, no shared code path beyond the weight draw
     puf = ArbiterPuf(42, stages=64, sigma=0.0)
     c0 = np.zeros(64, dtype=np.uint8)
-    assert eval_bit(puf, c0) == int(np.sum(puf.weights) > 0)
+    assert puf.eval_bits(c0[None, :])[0] == int(np.sum(puf.weights) > 0)
     rng = np.random.default_rng(1)
     for _ in range(50):
         c = rng.integers(0, 2, 64, dtype=np.uint8)
@@ -99,7 +99,7 @@ def test_arbiter_bit_matches_independent_dot_product():
         for i in range(64):
             acc += puf.weights[i] * np.prod(signs[i:])
         acc += puf.weights[64]
-        assert eval_bit(puf, c) == int(acc > 0)
+        assert puf.eval_bits(c[None, :])[0] == int(acc > 0)
 
 
 def test_arbiter_weight_scaling_invariance():
@@ -192,7 +192,7 @@ def test_config_roundtrip():
         clone = puf_from_config(puf_to_config(puf))
         assert puf_to_config(clone) == puf_to_config(puf)
         if isinstance(puf, SramPuf):
-            assert np.array_equal(clone.reference_block(0), puf.reference_block(0))
+            assert np.array_equal(clone.read(0, 127), puf.read(0, 127))
         else:
             c = stream("t", 9).integers(0, 2, (20, puf.stages), dtype=np.uint8)
             assert np.array_equal(clone.eval_bits(c, 1), puf.eval_bits(c, 1))
