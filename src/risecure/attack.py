@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extractor import enroll
+from .extractor import enroll, get_code
 from .hashing import OUTER_CHALLENGE_BITS, compose_response
 from .prng import derive_seed, stream
-from .puf import parity_features
+from .puf import ArbiterPuf, parity_features
 
 MODES = ("raw_arbiter", "hashed_bit")
 
@@ -134,25 +134,20 @@ def read_csv(path, mode, width):
                       np.array(responses, dtype=np.uint8), mode)
 
 
+def attack_datasets(seed, count, stages, code):
+    """Per-mode datasets of `count` records from one noiseless arbiter; only the hash differs."""
+    puf = ArbiterPuf(derive_seed("attack-puf", seed), stages=stages, sigma=0.0)
+    return {mode: generate_crps(puf, mode, count, derive_seed("attack-data", seed, i), code=code)
+            for i, mode in enumerate(MODES)}
+
+
 def run_attack(seed=0, train_count=10000, test_count=2000, epochs=400,
                learning_rate=1.0, stages=64, code=None):
-    """Train and score the attacker in both modes; returns the full report.
-
-    The same arbiter instance backs both targets, so the only difference
-    between the two rows is whether the hash stage sits in front of the
-    attacker.
-    """
-    from .extractor import get_code
-    from .puf import ArbiterPuf
-
+    """Train and score the attacker in both modes; returns the full report."""
     if code is None:
         code = get_code("bch")
-    puf = ArbiterPuf(derive_seed("attack-puf", seed), stages=stages, sigma=0.0)
     report = {}
-    for mode in MODES:
-        data = generate_crps(puf, mode, train_count + test_count,
-                             derive_seed("attack-data", seed, MODES.index(mode)),
-                             code=code)
+    for mode, data in attack_datasets(seed, train_count + test_count, stages, code).items():
         train = CrpDataset(data.challenges[:train_count], data.responses[:train_count], mode)
         test = CrpDataset(data.challenges[train_count:], data.responses[train_count:], mode)
         model = train_logreg(train, epochs, learning_rate, derive_seed("attack-train", seed))

@@ -51,8 +51,8 @@ def _outer_challenge(seed):
 
 
 def run_batch_bench(code_name="rs", batch_sizes=(1, 2, 4, 8, 16), repeats=3,
-                    seed=0, capacity=16, distinct_keys=False, mode="hashed"):
-    """Time the batch workload with and without the buffer.
+                    seed=0, capacity=16, distinct_keys=False):
+    """Time the batch workload of hashed samples with and without the buffer.
 
     Returns one row per batch size with wall times (best of `repeats`),
     exact counters, and the buffered/unbuffered speedup. Enrollment happens
@@ -82,7 +82,7 @@ def run_batch_bench(code_name="rs", batch_sizes=(1, 2, 4, 8, 16), repeats=3,
                 for j, ki in enumerate(keys):
                     c0, helper = helpers[ki]
                     out = sample_with_buffer(
-                        buf, puf, (ki, c0), helper, code, mode=mode,
+                        buf, puf, (ki, c0), helper, code, mode="hashed",
                         outer_challenge=outer,
                         noise_seed=derive_seed("bench-read", seed, batch, j))
                     if out is None:
@@ -103,15 +103,11 @@ def run_batch_bench(code_name="rs", batch_sizes=(1, 2, 4, 8, 16), repeats=3,
         "version": SCHEMA_VERSION,
         "code": code.code_id,
         "workload": "distinct-keys" if distinct_keys else "repeated-key",
-        "mode": mode,
+        "mode": "hashed",
         "capacity": capacity,
         "rows": rows,
-        "fpga_reference": FPGA_REFERENCE[_short_name(code_name)],
+        "fpga_reference": FPGA_REFERENCE[code.code_id.split("-")[0]],
     }
-
-
-def _short_name(code_name):
-    return "rs" if code_name.lower().startswith("rs") else "bch"
 
 
 def run_throughput_bench(code_name="rs", samples=200, seed=0):
@@ -145,5 +141,5 @@ def run_throughput_bench(code_name="rs", samples=200, seed=0):
         "samples": samples,
         "crps_per_ms": crps,
         "hash_overhead_pct": 100.0 * (crps["hashed"] - crps["corrected"]) / crps["corrected"],
-        "fpga_reference": FPGA_REFERENCE[_short_name(code_name)],
+        "fpga_reference": FPGA_REFERENCE[code.code_id.split("-")[0]],
     }

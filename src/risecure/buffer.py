@@ -60,7 +60,7 @@ class LookasideBuffer:
 
 
 def sample_with_buffer(buf, puf, key, helper, code, mode="corrected",
-                       outer_challenge=None, noise_seed=0, hash_name="sha3-256"):
+                       outer_challenge=None, noise_seed=0):
     """Buffered sampling: serve R2 from cache, reconstruct only on a miss.
 
     `key` is (puf_id, c0); only its challenge half feeds the PUF. Returns R2
@@ -73,8 +73,8 @@ def sample_with_buffer(buf, puf, key, helper, code, mode="corrected",
         raise ValueError(f"mode must be 'corrected' or 'hashed', got {mode!r}")
     if helper is None:
         raise ValueError(f"mode {mode!r} requires helper data")
-    if helper.code_id != code.code_id:
-        raise ValueError(f"helper data is for code {helper.code_id}, not {code.code_id}")
+    if helper.code.code_id != code.code_id:
+        raise ValueError(f"helper data is for code {helper.code.code_id}, not {code.code_id}")
     entry = buf.lookup(key) if buf is not None else None
     if entry is not None:
         r2, _ = entry
@@ -88,11 +88,10 @@ def sample_with_buffer(buf, puf, key, helper, code, mode="corrected",
             buf.insert(key, (r2, helper))
     if mode == "corrected":
         return r2
-    return compose_response(r2, outer_challenge, code.n_bits, hash_name)
+    return compose_response(r2, outer_challenge, code.n_bits)
 
 
-def select_output(mode, puf, c0, code, helper=None, outer_challenge=None,
-                  noise_seed=0, hash_name="sha3-256"):
+def select_output(mode, puf, c0, code, helper=None, outer_challenge=None, noise_seed=0):
     """Output mux over the 2-bit selector E, unbuffered.
 
     E=0 returns the raw response R1, E=1 the corrected R2, E=2 the hashed
@@ -110,4 +109,4 @@ def select_output(mode, puf, c0, code, helper=None, outer_challenge=None,
         raise ValueError("mode E=10 requires an outer challenge")
     return sample_with_buffer(None, puf, (None, c0), helper, code,
                               "corrected" if mode == 1 else "hashed",
-                              outer_challenge, noise_seed, hash_name)
+                              outer_challenge, noise_seed)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .attack import run_attack
+from .attack import attack_datasets, run_attack, write_csv
 from .bench import run_batch_bench, run_throughput_bench
 from .buffer import select_output
 from .extractor import HelperData, enroll, get_code
@@ -22,6 +22,8 @@ from .hashing import bits_to_bytes, bytes_to_bits
 from .isa import MachineState, MemoryFault, PufDevice, run
 from .prng import derive_seed, stream
 from .puf import new_puf, puf_from_config, puf_to_config
+
+HASH = "sha3-256"  # the output hash every system file names; there is no other
 
 
 def _default_seed():
@@ -40,9 +42,15 @@ def _read_json(path):
 
 
 def _load_system(path):
-    """A system file is a PUF config plus the code, buffer capacity and hash."""
+    """Read a system file into (puf, code, buffer capacity); a bad field raises ValueError."""
     cfg = _read_json(path)
-    return cfg, puf_from_config(cfg), get_code(cfg["code"])
+    puf = puf_from_config(cfg)
+    capacity = cfg.get("buffer_capacity", 16)
+    if type(capacity) is not int or capacity < 1:
+        raise ValueError(f"buffer_capacity must be an integer >= 1, got {capacity!r}")
+    if cfg.get("hash", HASH) != HASH:
+        raise ValueError(f"hash must be {HASH!r}, got {cfg['hash']!r}")
+    return puf, get_code(cfg.get("code")), capacity
 
 
 def cmd_puf_new(args):
@@ -57,14 +65,14 @@ def cmd_puf_new(args):
         params = {"stages": args.stages, "chains": args.chains, "sigma": args.sigma}
     puf = new_puf(args.kind, args.seed, params)
     cfg = puf_to_config(puf)
-    cfg.update({"code": args.code, "buffer_capacity": args.capacity, "hash": args.hash})
+    cfg.update({"code": args.code, "buffer_capacity": args.capacity, "hash": HASH})
     _write_json(args.output, cfg)
     print(f"wrote {args.output}")
     return 0
 
 
 def cmd_enroll(args):
-    cfg, puf, code = _load_system(args.system)
+    puf, code, _ = _load_system(args.system)
     helper, _ = enroll(puf, args.c0, code, derive_seed("cli-enroll", args.seed, args.c0))
     _write_json(args.output, helper.to_json())
     print(f"wrote {args.output}")
@@ -72,7 +80,7 @@ def cmd_enroll(args):
 
 
 def cmd_sample(args):
-    cfg, puf, code = _load_system(args.system)
+    puf, code, _ = _load_system(args.system)
     helper = None
     if args.helper is not None:
         helper = HelperData.from_json(_read_json(args.helper))
@@ -90,8 +98,7 @@ def cmd_sample(args):
     if noise_seed is None:
         noise_seed = derive_seed("cli-read", args.seed)
     out = select_output(mode, puf, args.c0, code, helper=helper,
-                        outer_challenge=outer, noise_seed=noise_seed,
-                        hash_name=cfg.get("hash", "sha3-256"))
+                        outer_challenge=outer, noise_seed=noise_seed)
     if out is None:
         print("reconstruction failed (decode error)", file=sys.stderr)
         return 1
@@ -138,14 +145,9 @@ def cmd_attack(args):
         _write_json(args.output, report)
         print(f"wrote {args.output}")
     if args.crps_out:
-        from .attack import generate_crps, write_csv
-        from .puf import ArbiterPuf
         os.makedirs(args.crps_out, exist_ok=True)
-        puf = ArbiterPuf(derive_seed("attack-puf", args.seed), stages=args.stages)
-        for i, mode in enumerate(("raw_arbiter", "hashed_bit")):
-            ds = generate_crps(puf, mode, args.train + args.test,
-                               derive_seed("attack-data", args.seed, i),
-                               code=get_code("bch"))
+        datasets = attack_datasets(args.seed, args.train + args.test, args.stages, get_code("bch"))
+        for mode, ds in datasets.items():
             write_csv(ds, os.path.join(args.crps_out, f"{mode}.csv"))
         print(f"wrote CRP datasets under {args.crps_out}")
     return 0
@@ -164,10 +166,8 @@ def cmd_selftest(args):
 def cmd_exec(args):
     device = None
     if args.system:
-        cfg, puf, code = _load_system(args.system)
-        device = PufDevice(code, seed=args.seed,
-                           capacity=cfg.get("buffer_capacity", 16),
-                           hash_name=cfg.get("hash", "sha3-256"))
+        puf, code, capacity = _load_system(args.system)
+        device = PufDevice(code, seed=args.seed, capacity=capacity)
         device.register(args.idx, puf)
     state = MachineState(memory_size=args.mem_size, device=device)
     with open(args.program) as fh:
@@ -200,7 +200,6 @@ def build_parser():
     p_new.add_argument("--chains", type=int, default=4)
     p_new.add_argument("--sigma", type=float, default=0.0)
     p_new.add_argument("--capacity", type=int, default=16, help="lookaside buffer capacity")
-    p_new.add_argument("--hash", choices=("sha3-256", "sha2-256"), default="sha3-256")
     p_new.add_argument("-o", "--output", required=True)
     p_new.set_defaults(func=cmd_puf_new)
 

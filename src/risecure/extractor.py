@@ -5,7 +5,8 @@ aux = Encode(r) XOR R1 where R1 is a noisy PUF read. Reconstruction takes a
 new read R1', decodes aux XOR R1' back to r, and returns
 R2 = Encode(r) XOR aux, which equals the enrollment-time R1 whenever the
 two reads differ in at most t correctable positions. aux is public: it
-reveals nothing useful without the PUF because r is uniform.
+reveals nothing useful without the PUF because r is uniform. The code is
+fixed at enrollment: helper data carries the code object it was enrolled on.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import BchCode
+from .galois import SystematicCode
 from .prng import stream
 from .puf import eval_raw, reference_response
 from .reed_solomon import ReedSolomonCode
@@ -40,29 +42,29 @@ def get_code(name):
 
 @dataclass
 class HelperData:
-    """Public helper string binding an enrollment to a PUF read."""
+    """Public helper string binding an enrollment to a PUF read and its code."""
 
     aux: np.ndarray  # n_bits of uint8
-    code_id: str
+    code: SystematicCode  # the code aux was enrolled on
 
     def to_json(self):
         return {
             "version": SCHEMA_VERSION,
-            "code_id": self.code_id,
+            "code_id": self.code.code_id,
             "n": int(len(self.aux)),
             "aux": np.packbits(self.aux).tobytes().hex(),
         }
 
     @classmethod
     def from_json(cls, doc):
-        """Parse to_json's form; malformed input raises ValueError."""
+        """Parse to_json's form, resolving the code id once; malformed input raises ValueError."""
         try:
             if doc.get("version") != SCHEMA_VERSION:
                 raise ValueError(f"unsupported helper-data version {doc.get('version')!r}")
             n = int(doc["n"])
             raw = bytes.fromhex(doc["aux"])
             code = get_code(doc["code_id"])
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
             raise ValueError(f"malformed helper data: {exc}") from exc
         if len(raw) != -(-n // 8):
             raise ValueError(f"aux hex length {len(raw)} bytes inconsistent with n={n}")
@@ -71,7 +73,7 @@ class HelperData:
             raise ValueError("nonzero padding bits in final aux byte")
         if code.n_bits != n:
             raise ValueError(f"n={n} does not match code {doc['code_id']} (n={code.n_bits})")
-        return cls(aux=bits[:n].copy(), code_id=code.code_id)
+        return cls(aux=bits[:n].copy(), code=code)
 
 
 def enroll(puf, c0, code, rng_seed):
@@ -87,12 +89,12 @@ def enroll(puf, c0, code, rng_seed):
     r = stream("enroll-secret", rng_seed).integers(0, 2, code.k_bits, dtype=np.uint8)
     r1 = reference_response(puf, c0, code.n_bits)
     aux = code.encode_bits(r) ^ r1
-    return HelperData(aux=aux.astype(np.uint8), code_id=code.code_id), r1.copy()
+    return HelperData(aux=aux.astype(np.uint8), code=code), r1.copy()
 
 
 def reconstruct(puf, c0, helper, noise_seed):
-    """Recover the enrolled R2 from a fresh noisy read; None if decode fails."""
-    code = get_code(helper.code_id)
+    """Recover the enrolled R2 from a fresh read with helper.code; None if decode fails."""
+    code = helper.code
     r1_new = eval_raw(puf, c0, noise_seed, code.n_bits)
     msg = code.decode_bits(helper.aux ^ r1_new)
     if msg is None:

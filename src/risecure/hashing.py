@@ -1,4 +1,6 @@
-"""Hash output stage: R3 = H(R2 || C), and bit statistics over digests.
+"""Hash output stage: R3 = SHA3-256(R2 || C), and bit statistics over digests.
+
+SHA3-256 is the only output hash, as in the paper's hardware.
 
 Widths are rigid on purpose. R2 must be exactly the code length and the
 outer challenge C exactly 128 bits, so no length-extension or padding games
@@ -11,8 +13,7 @@ import numpy as np
 
 OUTER_CHALLENGE_BITS = 128
 DIGEST_BITS = 256
-
-_ALGORITHMS = {"sha3-256": "sha3_256", "sha2-256": "sha256"}
+PASS_SIGMA = 4.0  # unpredictability_report passes when every z-score is within this
 
 
 def bits_to_bytes(bits):
@@ -25,24 +26,22 @@ def bytes_to_bits(data, n_bits=None):
     return bits if n_bits is None else bits[:n_bits]
 
 
-def compose_response(r2_bits, c_bits, n_code, hash_name="sha3-256"):
-    """R3 = H(R2 || C) as a 256-bit vector; widths checked exactly."""
-    if hash_name not in _ALGORITHMS:
-        raise ValueError(f"unknown hash {hash_name!r}; expected one of {sorted(_ALGORITHMS)}")
+def compose_response(r2_bits, c_bits, n_code):
+    """R3 = SHA3-256(R2 || C) as a 256-bit vector; widths checked exactly."""
     r2 = np.asarray(r2_bits, dtype=np.uint8)
     c = np.asarray(c_bits, dtype=np.uint8)
     if r2.shape != (n_code,):
         raise ValueError(f"R2 must be exactly {n_code} bits, got shape {r2.shape}")
     if c.shape != (OUTER_CHALLENGE_BITS,):
         raise ValueError(f"outer challenge must be exactly {OUTER_CHALLENGE_BITS} bits, got shape {c.shape}")
-    h = hashlib.new(_ALGORITHMS[hash_name])
+    h = hashlib.sha3_256()
     h.update(bits_to_bytes(r2))
     h.update(bits_to_bytes(c))
     return bytes_to_bits(h.digest())
 
 
-def unpredictability_report(samples, threshold=4.0):
-    """Bit statistics over a batch of digests, pass/fail at `threshold` sigma.
+def unpredictability_report(samples):
+    """Bit statistics over a batch of digests, pass/fail at PASS_SIGMA sigma.
 
     Checks overall ones frequency (monobit), the worst per-position bias,
     and lag-1 serial correlation of the concatenated stream. A cryptographic
@@ -73,6 +72,6 @@ def unpredictability_report(samples, threshold=4.0):
         "monobit_z": float(monobit_z),
         "max_bit_bias_z": bias_z,
         "serial_corr_z": float(serial_z),
-        "threshold": threshold,
-        "pass": bool(monobit_z <= threshold and bias_z <= threshold and serial_z <= threshold),
+        "threshold": PASS_SIGMA,
+        "pass": bool(monobit_z <= PASS_SIGMA and bias_z <= PASS_SIGMA and serial_z <= PASS_SIGMA),
     }

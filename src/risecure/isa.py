@@ -178,11 +178,10 @@ class PufDevice:
     stream produces the same bytes.
     """
 
-    def __init__(self, code, seed=0, capacity=16, hash_name="sha3-256"):
+    def __init__(self, code, seed=0, capacity=16):
         self.code = code
         self.seed = int(seed)
         self.buffer = LookasideBuffer(capacity)
-        self.hash_name = hash_name
         self.pufs = {}
         self.aux_table = {}
         self.enrolled_c0 = {}
@@ -212,7 +211,6 @@ class PufDevice:
         return sample_with_buffer(
             self.buffer, self.pufs[idx], (idx, c0), self.aux_table[idx], self.code,
             mode="hashed", outer_challenge=outer_bits, noise_seed=noise_seed,
-            hash_name=self.hash_name,
         )
 
 
@@ -243,14 +241,14 @@ class MachineState:
         for i, w in enumerate(words):
             self.mem_write(addr + 4 * i, int(w).to_bytes(4, "little"))
 
-    def load_hex_program(self, text, base=0):
+    def load_hex_program(self, text):
         """Load lines of the form 'ADDR: WORD' (hex); '#' starts a comment."""
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             addr_s, word_s = line.split(":")
-            self.mem_write(base + int(addr_s, 16), int(word_s, 16).to_bytes(4, "little"))
+            self.mem_write(int(addr_s, 16), int(word_s, 16).to_bytes(4, "little"))
 
     def dump(self):
         """JSON-ready snapshot: registers, pc, status, memory digest."""

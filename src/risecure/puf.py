@@ -111,6 +111,17 @@ class _DelayPuf:
         """Noiseless margins of `count` random stage-width challenges drawn from g."""
         return self.margins(g.integers(0, 2, (count, self.stages), dtype=np.uint8))
 
+    def features(self, challenges):
+        """Parity features of a challenge batch; its width must equal the stage count."""
+        c = np.atleast_2d(np.asarray(challenges))
+        if c.shape[1] != self.stages:
+            raise ValueError(f"challenge width {c.shape[1]} != stages {self.stages}")
+        return parity_features(c)
+
+    def eval_bits(self, challenges, noise_seed=None):
+        """Response bits for a challenge batch; noiseless when noise_seed is None."""
+        return self.respond(self.features(challenges), noise_seed)
+
 
 class ArbiterPuf(_DelayPuf):
     """Strong PUF: additive delay model with seeded standard-normal weights."""
@@ -129,14 +140,11 @@ class ArbiterPuf(_DelayPuf):
 
     def margins(self, challenges):
         """Noiseless delay differences w . Phi(c) for a batch of challenges."""
-        c = np.atleast_2d(np.asarray(challenges))
-        if c.shape[1] != self.stages:
-            raise ValueError(f"challenge width {c.shape[1]} != stages {self.stages}")
-        return parity_features(c) @ self.weights
+        return self.features(challenges) @ self.weights
 
-    def eval_bits(self, challenges, noise_seed=None):
-        """Response bits for a challenge batch; noiseless when noise_seed is None."""
-        d = self.margins(challenges)
+    def respond(self, phi, noise_seed=None):
+        """Response bits for parity features phi; noiseless when noise_seed is None."""
+        d = phi @ self.weights
         if noise_seed is not None and self.sigma > 0:
             d = d + stream("arbiter-noise", self.seed, noise_seed).normal(0.0, self.sigma, len(d))
         return (d > 0).astype(np.uint8)
@@ -167,12 +175,14 @@ class XorArbiterPuf(_DelayPuf):
 
     def margins(self, challenges):
         """Per-chain noiseless margins, stacked as (N, chains)."""
-        return np.stack([chain.margins(challenges) for chain in self.chains], axis=1)
+        phi = self.features(challenges)
+        return np.stack([phi @ chain.weights for chain in self.chains], axis=1)
 
-    def eval_bits(self, challenges, noise_seed=None):
-        acc = np.zeros(len(np.atleast_2d(np.asarray(challenges))), dtype=np.uint8)
+    def respond(self, phi, noise_seed=None):
+        """XOR of the chains' bits for features phi; each chain draws its own noise."""
+        acc = np.zeros(len(phi), dtype=np.uint8)
         for chain in self.chains:
-            acc ^= chain.eval_bits(challenges, noise_seed)
+            acc ^= chain.respond(phi, noise_seed)
         return acc
 
     def with_sigma(self, sigma):
@@ -203,7 +213,7 @@ def puf_from_config(cfg):
         if cfg.get("version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported PUF config version {cfg.get('version')!r}")
         return new_puf(cfg["kind"], cfg["seed"], cfg.get("params"))
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise ValueError(f"malformed PUF config: {exc}") from exc
 
 

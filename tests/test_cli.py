@@ -86,7 +86,7 @@ def test_sample_corrected_and_hashed_modes(tmp_path, capsys):
     r3 = compose_response(r2, bytes_to_bits(bytes.fromhex(outer_hex)), 127)
     assert hashed_hex == bits_to_bytes(r3).hex()
     assert len(hashed_hex) == 64
-    assert helper.code_id == "bch-127-36-15"
+    assert helper.code.code_id == "bch-127-36-15"
     del want  # reconstruction correctness is covered elsewhere
 
 
@@ -150,8 +150,13 @@ _MALFORMED = {  # case: (file to corrupt, corruption)
     "params-unknown-key": ("system", lambda d: {**d, "params": {**d["params"], "bogus": 1}}),
     "params-list": ("system", lambda d: {**d, "params": [1, 2]}),
     "seed-list": ("system", lambda d: {**d, "seed": [9]}),
+    "seed-infinity": ("system", lambda d: {**d, "seed": float("inf")}),
+    "capacity-string": ("system", lambda d: {**d, "buffer_capacity": "8"}),
+    "capacity-zero": ("system", lambda d: {**d, "buffer_capacity": 0}),
+    "hash-sha2": ("system", lambda d: {**d, "hash": "sha2-256"}),
     "system-list": ("system", lambda d: [d]),
     "aux-number": ("helper", lambda d: {**d, "aux": 5}),
+    "n-infinity": ("helper", lambda d: {**d, "n": float("inf")}),
     "helper-list": ("helper", lambda d: [d]),
 }
 
@@ -172,6 +177,11 @@ def test_malformed_json_files_exit_1(tmp_path, capsys, case):
         rc = main(["enroll", "--system", str(sys_path), "--c0", "0",
                    "-o", str(tmp_path / "h2.json")])
         assert rc == 1 and "error:" in capsys.readouterr().err
+        prog = tmp_path / "prog.hex"
+        prog.write_text("0: 00100073\n")  # ebreak
+        rc = main(["exec", "--system", str(sys_path), "--program", str(prog)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and "error:" in captured.err
 
 
 @pytest.mark.parametrize("mode", ["corrected", "hashed"])

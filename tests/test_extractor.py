@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from risecure.bch import BchCode
+from risecure.buffer import LookasideBuffer, sample_with_buffer
 from risecure.extractor import HelperData, enroll, get_code, reconstruct
+from risecure.hashing import bits_to_bytes, compose_response
+from risecure.isa import MachineState, PufDevice, asm_ebreak, asm_outer_puf_chal, li32, run
+from risecure.prng import derive_seed
 from risecure.puf import SramPuf, reference_response
+from risecure.reed_solomon import ReedSolomonCode
 
 
 class _ControlledSram(SramPuf):
@@ -113,7 +119,7 @@ def test_helper_json_roundtrip():
     doc = helper.to_json()
     assert doc["version"] == 1 and doc["n"] == 127
     back = HelperData.from_json(doc)
-    assert back.code_id == helper.code_id
+    assert back.code.code_id == helper.code.code_id
     assert np.array_equal(back.aux, helper.aux)
 
 
@@ -145,3 +151,37 @@ def test_aux_is_full_code_length_and_binary():
         helper, _ = enroll(puf, 0, code, rng_seed=0)
         assert helper.aux.shape == (code.n_bits,)
         assert set(np.unique(helper.aux)) <= {0, 1}
+
+
+@pytest.mark.parametrize("code", [ReedSolomonCode(t=2, m=4, primitive_poly=0x13),
+                                  BchCode(m=5, t=3, primitive_poly=0x25)],
+                         ids=lambda code: code.code_id)
+def test_non_default_codes_end_to_end(code):
+    # t errors on every noisy read: one bit in each of t symbols (RS) or t bits (BCH)
+    width = code.n_bits // code.n
+    puf = _ControlledSram(12, block_bits=code.n_bits)
+    puf.flips = tuple(width * s + s % width for s in range(0, 2 * code.t, 2))
+    helper, r2 = enroll(puf, 3, code, rng_seed=1)
+    assert np.array_equal(reconstruct(puf, 3, helper, noise_seed=0), r2)
+    buf = LookasideBuffer(4)
+    out = sample_with_buffer(buf, puf, ("dev", 3), helper, code, noise_seed=0)
+    assert np.array_equal(out, r2) and buf.decode_calls == 1
+
+    # capacity 1: enrolling index 1 evicts index 0, so the request for 0 misses and decodes
+    dev = PufDevice(code, seed=5, capacity=1)
+    dev.register(0, puf)
+    dev.register(1, SramPuf(13, block_bits=code.n_bits, p=0.0))
+    dev.enroll_idx(0, 3)
+    dev.enroll_idx(1, 2)
+    st = MachineState(memory_size=4096, device=dev)
+    outer = bytes(range(16, 32))
+    st.mem_write(0x220, (0).to_bytes(4, "little") + outer)
+    st.load_words(0, [*li32(6, 0x220), *li32(7, 0x300), asm_outer_puf_chal(11, 6, 7),
+                      asm_ebreak()])
+    assert run(st) == "halted" and st.regs[11] == 0
+    assert dev.buffer.misses == 1 and dev.buffer.decode_calls == 1
+
+    mirror, mirror_r2 = enroll(puf, 3, code, derive_seed("device-enroll", 5, 0, 3))
+    assert np.array_equal(mirror.aux, dev.aux_table[0].aux)
+    r3 = compose_response(mirror_r2, np.unpackbits(np.frombuffer(outer, np.uint8)), code.n_bits)
+    assert st.mem_read(0x300, 32) == bits_to_bytes(r3)
