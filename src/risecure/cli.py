@@ -58,6 +58,10 @@ def cmd_puf_new(args):
         raise ValueError(f"buffer capacity must be >= 1, got {args.capacity}")
     if args.kind == "sram":
         code = get_code(args.code)
+        mean_errors = code.n * (1 - (1 - args.p) ** code.s)  # symbols with a flipped bit
+        if mean_errors > code.t:
+            raise ValueError(f"--p {args.p} gives {mean_errors:.1f} symbol errors per read "
+                             f"on average, more than {args.code} corrects (t={code.t})")
         params = {"num_blocks": args.blocks, "block_bits": code.n_bits, "p": args.p}
     elif args.kind == "arbiter":
         params = {"stages": args.stages, "sigma": args.sigma}

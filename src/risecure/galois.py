@@ -11,8 +11,8 @@ is the binary subfield subcode of the Reed-Solomon code over the same field
 with the same 2t roots alpha^1..alpha^2t, so one encoder and one decoder
 serve both. A codec supplies its generator polynomial and its symbol width
 s (1 bit for BCH, m bits for RS); the core encodes with a GF(2) parity
-matrix over the message bits and decodes by syndromes, Berlekamp-Massey,
-Chien search and Forney, rejecting any error magnitude wider than s bits.
+matrix and decodes by syndromes, Berlekamp-Massey, a Chien search over all
+q-1 positions and Forney, rejecting any magnitude wider than s bits.
 """
 
 import numpy as np
@@ -103,9 +103,9 @@ def berlekamp_massey(field: GF2m, syndromes):
     """Find the shortest LFSR (error locator) generating the syndrome sequence.
 
     Returns the connection polynomial Lambda as an ascending int array with
-    Lambda[0] == 1, and its LFSR length L. Works for any 2t-long syndrome
-    sequence over the field; binary BCH callers simply pass GF(2^m)
-    syndromes like everyone else.
+    Lambda[0] == 1, and its LFSR length L. Each nonzero discrepancy updates
+    Lambda once, in one loop; when L grows, the branch only swaps registers
+    so that the old Lambda becomes the reference.
     """
     s = [int(v) for v in syndromes]
     n = len(s)
@@ -118,40 +118,31 @@ def berlekamp_massey(field: GF2m, syndromes):
         d = s[r]
         for i in range(1, l + 1):
             d ^= field.mul(lam[i], s[r - i])
-        if d == 0:
-            shift += 1
-        elif 2 * l <= r:
-            tmp = lam[:]
+        if d:
             coef = field.div(d, b)
-            for i in range(0, n + 1 - shift):
-                lam[i + shift] ^= field.mul(coef, prev[i])
-            l = r + 1 - l
-            prev = tmp
-            b = d
-            shift = 1
-        else:
-            coef = field.div(d, b)
-            for i in range(0, n + 1 - shift):
-                lam[i + shift] ^= field.mul(coef, prev[i])
-            shift += 1
+            nxt = lam[:]
+            for i in range(n + 1 - shift):
+                nxt[i + shift] ^= field.mul(coef, prev[i])
+            if 2 * l <= r:  # L grows
+                l, prev, b, shift = r + 1 - l, lam, d, 0
+            lam = nxt
+        shift += 1
     deg = max(i for i, c in enumerate(lam) if c)
     return np.array(lam[: deg + 1], dtype=np.int64), l
 
 
-def locator_roots(field: GF2m, lam, n: int):
-    """Chien search: error positions i in [0, n) with Lambda(alpha^-i) == 0.
+def locator_roots(field: GF2m, lam):
+    """Chien search: the sorted error positions i with Lambda(alpha^-i) == 0.
 
-    Returns (positions, root_count). root_count counts distinct roots of
-    Lambda over the whole multiplicative group, which the decoders compare
-    against deg(Lambda) to reject bogus locators.
+    Positions cover the whole multiplicative group, [0, q-1), which is the
+    length of every SystematicCode, so a decoder compares their count with
+    deg(Lambda) to reject bogus locators.
     """
     points = field.exp_np[: field.order - 1]  # alpha^0 .. alpha^(q-2)
     vals = field.poly_eval_many(lam, points)
     root_exps = np.nonzero(vals == 0)[0]  # exponents j with Lambda(alpha^j)=0
     # alpha^j root  <->  position i = -j mod (q-1)
-    pos = (-(root_exps) % (field.order - 1)).astype(np.int64)
-    pos = pos[pos < n]
-    return np.sort(pos), int(len(root_exps))
+    return np.sort(-root_exps % (field.order - 1))
 
 
 class SystematicCode:
@@ -249,8 +240,8 @@ class SystematicCode:
         deg = len(lam) - 1
         if l > t or deg != l:
             return None
-        pos, root_count = locator_roots(field, lam, self.n)
-        if root_count != deg or len(pos) != deg:
+        pos = locator_roots(field, lam)
+        if len(pos) != deg:
             return None
         omega = field.poly_mul(synd, lam)[: 2 * t]
         lam_deriv = lam[1:].copy()

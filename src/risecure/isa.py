@@ -17,8 +17,11 @@ Error paths leave the aux table, the output region, and the noise counter
 untouched, except that a failed reconstruction consumes its noisy read.
 
 Base-ISA meaning lives in one table per instruction class (branch
-predicate, load width and sign, store width, ALU op); decode takes the
-instruction names from them and step the semantics.
+predicate, load width and sign, store width, ALU op shared by the register
+and immediate forms). decode puts its word's entry, or the custom
+instruction's handler, into the Instr it returns, and step executes it.
+Every trap leaves step through one exit before anything is written, so a
+trapped instruction retires nothing: registers, memory and pc keep their values.
 """
 
 import hashlib
@@ -38,11 +41,15 @@ F3_OUTER_CHAL = 0b010
 MASK32 = 0xFFFFFFFF
 
 
-class IllegalInstruction(Exception):
+class Trap(Exception):
+    """An instruction that cannot retire; step turns it into status "trap"."""
+
+
+class IllegalInstruction(Trap):
     pass
 
 
-class MemoryFault(Exception):
+class MemoryFault(Trap):
     pass
 
 
@@ -61,14 +68,12 @@ class Instr:
     funct3: int = 0
     funct7: int = 0
     imm: int = 0
+    op: object = None  # decode's table entry, which step executes
 
 
 def encode_fields(instr):
     """Reassemble an R-type word from its decoded fields."""
-    return (
-        (instr.funct7 << 25) | (instr.rs2 << 20) | (instr.rs1 << 15)
-        | (instr.funct3 << 12) | (instr.rd << 7) | instr.opcode
-    )
+    return asm_r(instr.opcode, instr.funct3, instr.funct7, instr.rd, instr.rs1, instr.rs2)
 
 
 OP_LUI, OP_AUIPC, OP_JAL, OP_JALR = 0b0110111, 0b0010111, 0b1101111, 0b1100111
@@ -85,9 +90,9 @@ _BRANCHES = {  # funct3: (name, taken(rs1, rs2))
     0b110: ("bltu", lambda a, b: a < b),
     0b111: ("bgeu", lambda a, b: a >= b),
 }
-_LOADS = {  # funct3: (name, bytes, sign-extends)
-    0b000: ("lb", 1, True), 0b001: ("lh", 2, True), 0b010: ("lw", 4, False),
-    0b100: ("lbu", 1, False), 0b101: ("lhu", 2, False),
+_LOADS = {  # funct3: (name, (bytes, sign-extends))
+    0b000: ("lb", (1, True)), 0b001: ("lh", (2, True)), 0b010: ("lw", (4, False)),
+    0b100: ("lbu", (1, False)), 0b101: ("lhu", (2, False)),
 }
 _STORES = {0b000: ("sb", 1), 0b001: ("sh", 2), 0b010: ("sw", 4)}  # funct3: (name, bytes)
 _ALU = {  # (funct3, funct7 == 0100000): (register name, immediate name, op(rs1, rs2 or imm))
@@ -102,7 +107,6 @@ _ALU = {  # (funct3, funct7 == 0100000): (register name, immediate name, op(rs1,
     (0b110, 0): ("or", "ori", lambda a, b: a | b),
     (0b111, 0): ("and", "andi", lambda a, b: a & b),
 }
-_ALU_OPS = {name: op for reg, imm, op in _ALU.values() for name in (reg, imm) if name}
 
 
 def decode(word):
@@ -117,42 +121,44 @@ def decode(word):
     fields = (opcode, rd, rs1, rs2, funct3, funct7)
     i_imm = _sext(word >> 20, 12)
 
-    if opcode == OP_IMM:
-        if funct3 == 0b001 and funct7 != 0:
-            raise IllegalInstruction("bad slli encoding")
-        if funct3 == 0b001 or funct3 == 0b101:
-            if funct7 not in (0, 0b0100000):
-                raise IllegalInstruction("bad shift encoding")
-            return Instr(_ALU[funct3, funct7 >> 5][1], *fields, rs2)
-        return Instr(_ALU[funct3, 0][1], *fields, i_imm)
-    if opcode == OP_REG:
+    if opcode == OP_REG or (opcode == OP_IMM and funct3 in (0b001, 0b101)):
+        # one lookup for register ops and immediate shifts, whose amount is the rs2 field
         entry = _ALU.get((funct3, funct7 >> 5)) if funct7 in (0, 0b0100000) else None
         if entry is None:
-            raise IllegalInstruction(f"bad funct7 {funct7:#x} for register op")
-        return Instr(entry[0], *fields)
+            raise IllegalInstruction(f"bad funct7 {funct7:#x} for register op or shift")
+        reg_name, imm_name, op = entry
+        if opcode == OP_REG:
+            return Instr(reg_name, *fields, 0, op)
+        return Instr(imm_name, *fields, rs2, op)
+    if opcode == OP_IMM:
+        _, name, op = _ALU[funct3, 0]
+        return Instr(name, *fields, i_imm, op)
     if opcode == OP_LOAD:
         if funct3 not in _LOADS:
             raise IllegalInstruction(f"bad load funct3 {funct3:#o}")
-        return Instr(_LOADS[funct3][0], *fields, i_imm)
+        name, width = _LOADS[funct3]
+        return Instr(name, *fields, i_imm, width)
     if opcode == OP_STORE:
         if funct3 not in _STORES:
             raise IllegalInstruction(f"bad store funct3 {funct3:#o}")
-        return Instr(_STORES[funct3][0], *fields, _sext(((word >> 25) << 5) | rd, 12))
+        name, size = _STORES[funct3]
+        return Instr(name, *fields, _sext(((word >> 25) << 5) | rd, 12), size)
     if opcode == OP_BRANCH:
         if funct3 not in _BRANCHES:
             raise IllegalInstruction(f"bad branch funct3 {funct3:#o}")
         imm = ((word >> 31) << 12) | (((word >> 7) & 1) << 11) \
             | (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
-        return Instr(_BRANCHES[funct3][0], *fields, _sext(imm, 13))
+        name, taken = _BRANCHES[funct3]
+        return Instr(name, *fields, _sext(imm, 13), taken)
     if opcode == CUSTOM_OPCODE:
         if funct7 != 0:
             raise IllegalInstruction(f"reserved funct7 {funct7:#x} at custom opcode")
         if funct3 == F3_INNER_INIT:
             if rs2 != 0:
                 raise IllegalInstruction("inner_puf_init requires rs2=0")
-            return Instr("inner_puf_init", *fields)
+            return Instr("inner_puf_init", *fields, 0, _exec_inner_puf_init)
         if funct3 == F3_OUTER_CHAL:
-            return Instr("outer_puf_chal", *fields)
+            return Instr("outer_puf_chal", *fields, 0, _exec_outer_puf_chal)
         raise IllegalInstruction(f"reserved funct3 {funct3:#o} at custom opcode")
     if opcode == OP_LUI:
         return Instr("lui", *fields, word & 0xFFFFF000)
@@ -223,10 +229,6 @@ class MachineState:
         self.status = "continue"
         self.trap_cause = None
 
-    def write_reg(self, rd, value):
-        if rd != 0:
-            self.regs[rd] = value & MASK32
-
     def mem_read(self, addr, length):
         if addr < 0 or addr + length > len(self.memory):
             raise MemoryFault(f"read [{addr:#x}, +{length}) out of bounds")
@@ -266,19 +268,16 @@ def _exec_inner_puf_init(state, instr):
     try:
         block = state.mem_read(state.regs[instr.rs1], 12)
     except MemoryFault:
-        state.write_reg(instr.rd, 2)
-        return
+        return 2
     idx = int.from_bytes(block[0:4], "little")
     c0 = int.from_bytes(block[4:12], "little")
     if idx not in dev.pufs:
-        state.write_reg(instr.rd, 1)
-        return
+        return 1
     try:
         dev.enroll_idx(idx, c0)
     except ValueError:
-        state.write_reg(instr.rd, 3)
-        return
-    state.write_reg(instr.rd, 0)
+        return 3
+    return 0
 
 
 def _exec_outer_puf_chal(state, instr):
@@ -288,83 +287,72 @@ def _exec_outer_puf_chal(state, instr):
         out_addr = state.regs[instr.rs2]
         state.mem_read(out_addr, 32)  # validate the output region up front
     except MemoryFault:
-        state.write_reg(instr.rd, 2)
-        return
+        return 2
     idx = int.from_bytes(block[0:4], "little")
     if idx not in dev.aux_table:
-        state.write_reg(instr.rd, 1)
-        return
-    outer_bits = bytes_to_bits(block[4:20])
-    r3 = dev.sample_r3(idx, outer_bits)
+        return 1
+    r3 = dev.sample_r3(idx, bytes_to_bits(block[4:20]))
     if r3 is None:
-        state.write_reg(instr.rd, 4)
-        return
+        return 4
     state.mem_write(out_addr, bits_to_bytes(r3))
-    state.write_reg(instr.rd, 0)
+    return 0
 
 
 def step(state):
     """Fetch/decode/execute one instruction; returns the new machine status.
 
-    Traps (illegal instruction, fetch/load/store fault, misaligned jump)
-    leave pc pointing at the faulting instruction.
+    Every trap leaves through the one `except Trap`, before rd, memory or pc
+    is written, so pc keeps pointing at the faulting instruction.
     """
     pc = state.pc
-    try:
-        instr = decode(int.from_bytes(state.mem_read(pc, 4), "little"))
-    except (MemoryFault, IllegalInstruction) as exc:
-        state.status = "trap"
-        state.trap_cause = str(exc)
-        return state.status
-
     regs = state.regs
-    opcode = instr.opcode
-    next_pc = (pc + 4) & MASK32
     try:
+        if pc % 4:
+            raise Trap(f"misaligned fetch at {pc:#x}")
+        instr = decode(int.from_bytes(state.mem_read(pc, 4), "little"))
+        opcode = instr.opcode
+        next_pc = (pc + 4) & MASK32
+        rd_value = None  # set by the instructions that write rd
         if opcode == OP_IMM:
-            state.write_reg(instr.rd, _ALU_OPS[instr.name](regs[instr.rs1], instr.imm))
+            rd_value = instr.op(regs[instr.rs1], instr.imm)
         elif opcode == OP_REG:
-            state.write_reg(instr.rd, _ALU_OPS[instr.name](regs[instr.rs1], regs[instr.rs2]))
+            rd_value = instr.op(regs[instr.rs1], regs[instr.rs2])
         elif opcode == OP_LOAD:
-            _, size, signed = _LOADS[instr.funct3]
+            size, signed = instr.op
             data = state.mem_read((regs[instr.rs1] + instr.imm) & MASK32, size)
-            state.write_reg(instr.rd, int.from_bytes(data, "little", signed=signed))
+            rd_value = int.from_bytes(data, "little", signed=signed)
         elif opcode == OP_STORE:
-            size = _STORES[instr.funct3][1]
+            size = instr.op
             state.mem_write((regs[instr.rs1] + instr.imm) & MASK32,
                             (regs[instr.rs2] & ((1 << (size * 8)) - 1)).to_bytes(size, "little"))
         elif opcode == OP_BRANCH:
-            if _BRANCHES[instr.funct3][1](regs[instr.rs1], regs[instr.rs2]):
+            if instr.op(regs[instr.rs1], regs[instr.rs2]):
                 next_pc = (pc + instr.imm) & MASK32
         elif opcode == OP_LUI:
-            state.write_reg(instr.rd, instr.imm)
+            rd_value = instr.imm
         elif opcode == OP_AUIPC:
-            state.write_reg(instr.rd, pc + instr.imm)
+            rd_value = pc + instr.imm
         elif opcode == OP_JAL:
-            state.write_reg(instr.rd, pc + 4)
+            rd_value = pc + 4
             next_pc = (pc + instr.imm) & MASK32
         elif opcode == OP_JALR:
+            rd_value = pc + 4
             next_pc = (regs[instr.rs1] + instr.imm) & ~1 & MASK32
-            state.write_reg(instr.rd, pc + 4)
         elif opcode == CUSTOM_OPCODE:
             if state.device is None:
                 raise IllegalInstruction("custom opcode with no PUF device attached")
-            if instr.funct3 == F3_INNER_INIT:
-                _exec_inner_puf_init(state, instr)
-            else:
-                _exec_outer_puf_chal(state, instr)
+            rd_value = instr.op(state, instr)
         else:  # ebreak, the only system instruction decode accepts
             state.status = "halted"
             return state.status
-    except (MemoryFault, IllegalInstruction) as exc:
+        if next_pc % 4:
+            raise Trap(f"misaligned jump target {next_pc:#x}")
+    except Trap as exc:
         state.status = "trap"
         state.trap_cause = str(exc)
         return state.status
-
-    if next_pc % 4 != 0:
-        state.status = "trap"
-        state.trap_cause = f"misaligned jump target {next_pc:#x}"
-        return state.status
+    if rd_value is not None and instr.rd:  # x0 stays zero
+        regs[instr.rd] = rd_value & MASK32
     state.pc = next_pc
     state.status = "continue"
     return state.status
@@ -391,38 +379,35 @@ def asm_i(opcode, funct3, rd, rs1, imm):
 
 
 def asm_lui(rd, imm20):
-    return ((imm20 & 0xFFFFF) << 12) | (rd << 7) | 0b0110111
+    return ((imm20 & 0xFFFFF) << 12) | (rd << 7) | OP_LUI
 
 
 def asm_addi(rd, rs1, imm):
-    return asm_i(0b0010011, 0b000, rd, rs1, imm)
+    return asm_i(OP_IMM, 0b000, rd, rs1, imm)
 
 
 def asm_add(rd, rs1, rs2):
-    return asm_r(0b0110011, 0b000, 0, rd, rs1, rs2)
+    return asm_r(OP_REG, 0b000, 0, rd, rs1, rs2)
 
 
 def asm_lw(rd, rs1, imm):
-    return asm_i(0b0000011, 0b010, rd, rs1, imm)
+    return asm_i(OP_LOAD, 0b010, rd, rs1, imm)
 
 
 def asm_sw(rs1, rs2, imm):
-    """Store regs[rs2] to memory[regs[rs1] + imm]."""
-    return ((imm >> 5) & 0x7F) << 25 | (rs2 << 20) | (rs1 << 15) | (0b010 << 12) \
-        | ((imm & 0x1F) << 7) | 0b0100011
+    """Store regs[rs2] to memory[regs[rs1] + imm]; imm[11:5] sits in funct7, imm[4:0] in rd."""
+    return asm_r(OP_STORE, 0b010, (imm >> 5) & 0x7F, imm & 0x1F, rs1, rs2)
 
 
 def asm_beq(rs1, rs2, offset):
-    imm = offset
-    return (((imm >> 12) & 1) << 31) | (((imm >> 5) & 0x3F) << 25) | (rs2 << 20) \
-        | (rs1 << 15) | (0b000 << 12) | (((imm >> 1) & 0xF) << 8) \
-        | (((imm >> 11) & 1) << 7) | 0b1100011
+    """imm[12|10:5] sits in funct7, imm[4:1|11] in rd."""
+    return asm_r(OP_BRANCH, 0b000, ((offset >> 6) & 0x40) | ((offset >> 5) & 0x3F),
+                 (offset & 0x1E) | ((offset >> 11) & 1), rs1, rs2)
 
 
 def asm_jal(rd, offset):
-    imm = offset
-    return (((imm >> 20) & 1) << 31) | (((imm >> 1) & 0x3FF) << 21) \
-        | (((imm >> 11) & 1) << 20) | (((imm >> 12) & 0xFF) << 12) | (rd << 7) | 0b1101111
+    return (((offset >> 20) & 1) << 31) | (((offset >> 1) & 0x3FF) << 21) \
+        | (((offset >> 11) & 1) << 20) | (((offset >> 12) & 0xFF) << 12) | (rd << 7) | OP_JAL
 
 
 def asm_ebreak():

@@ -129,8 +129,8 @@ class ArbiterPuf(_DelayPuf):
     kind = "arbiter"
 
     def __init__(self, seed, stages=64, sigma=0.0):
-        if stages < 1:
-            raise ValueError(f"stage count must be positive, got {stages}")
+        if not 1 <= stages <= 1024:  # bounds the stages+1 weights a config can allocate
+            raise ValueError(f"stage count must be in [1, 1024], got {stages}")
         if sigma < 0:
             raise ValueError(f"noise sigma must be >= 0, got {sigma}")
         self.seed = int(seed)
@@ -162,8 +162,8 @@ class XorArbiterPuf(_DelayPuf):
     kind = "xor"
 
     def __init__(self, seed, stages=64, chains=4, sigma=0.0):
-        if chains < 1:
-            raise ValueError(f"chain count must be positive, got {chains}")
+        if not 1 <= chains <= 64:
+            raise ValueError(f"chain count must be in [1, 64], got {chains}")
         self.seed = int(seed)
         self.stages = int(stages)
         self.num_chains = int(chains)

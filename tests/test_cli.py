@@ -155,6 +155,10 @@ _MALFORMED = {  # case: (file to corrupt, corruption)
     "capacity-zero": ("system", lambda d: {**d, "buffer_capacity": 0}),
     "hash-sha2": ("system", lambda d: {**d, "hash": "sha2-256"}),
     "system-list": ("system", lambda d: [d]),
+    "arbiter-stages-5000": ("system", lambda d: {**d, "kind": "arbiter",
+                                                  "params": {"stages": 5000, "sigma": 0.0}}),
+    "xor-chains-100": ("system", lambda d: {**d, "kind": "xor",
+                                            "params": {"stages": 64, "chains": 100, "sigma": 0.0}}),
     "aux-number": ("helper", lambda d: {**d, "aux": 5}),
     "n-infinity": ("helper", lambda d: {**d, "n": float("inf")}),
     "helper-list": ("helper", lambda d: [d]),
@@ -206,6 +210,44 @@ def test_zero_buffer_capacity_rejected_at_puf_new(tmp_path, capsys):
     rc = main(["puf", "new", "--kind", "sram", "--capacity", "0", "-o", str(path)])
     assert rc == 1 and "error: buffer capacity" in capsys.readouterr().err
     assert not path.exists()
+
+
+def test_oversized_arbiter_rejected_at_puf_new(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    rc = main(["puf", "new", "--kind", "arbiter", "--stages", "5000", "-o", str(path)])
+    assert rc == 1 and "error: stage count" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_sram_system_its_code_cannot_correct_rejected_at_puf_new(tmp_path, capsys):
+    path = tmp_path / "rs.json"
+    rc = main(["puf", "new", "--kind", "sram", "--code", "rs", "-o", str(path)])
+    assert rc == 1 and "more than rs corrects (t=16)" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_low_noise_rs_sram_system_reconstructs(tmp_path, capsys):
+    sys_path = tmp_path / "rs.json"
+    helper_path = tmp_path / "h.json"
+    assert main(["puf", "new", "--kind", "sram", "--code", "rs", "--p", "0.002", "--seed", "9",
+                 "-o", str(sys_path)]) == 0
+    assert main(["enroll", "--system", str(sys_path), "--c0", "1", "--seed", "9",
+                 "-o", str(helper_path)]) == 0
+    capsys.readouterr()
+    rc = main(["sample", "--system", str(sys_path), "--c0", "1", "--mode", "corrected",
+               "--helper", str(helper_path), "--seed", "9"])
+    assert rc == 0
+    _, puf = _load_puf(sys_path)
+    _, r2 = enroll(puf, 1, get_code("rs"), derive_seed("cli-enroll", 9, 1))
+    assert capsys.readouterr().out.strip() == bits_to_bytes(r2).hex()
+
+
+def test_default_bch_sram_system_file_is_unchanged(tmp_path):
+    path = _new_system(tmp_path)
+    assert path.read_text() == json.dumps({
+        "version": 1, "kind": "sram", "seed": 9,
+        "params": {"num_blocks": 16, "block_bits": 127, "p": 0.05},
+        "code": "bch", "buffer_capacity": 16, "hash": "sha3-256"}, indent=2) + "\n"
 
 
 def test_exec_program_larger_than_memory_exits_1(tmp_path, capsys):

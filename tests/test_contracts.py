@@ -2,8 +2,9 @@
 
 The benchmark's tracer (perfbench/spans.py) wraps functions by module and
 attribute path; a target that no longer resolves would only show as a zero
-per-layer metric in a traced run. The demos import by name and are not run
-by this suite.
+per-layer metric in a traced run. The benchmark's other code reads module
+attributes such as `isa.asm_sw`, which a rename would break only when the
+benchmark runs. The demos import by name and are not run by this suite.
 """
 
 import ast
@@ -26,6 +27,46 @@ def test_benchmark_span_targets_resolve():
     for name, (module, path) in spans.SPANS.items():
         assert callable(spans._resolve(module, path)), name
     assert callable(spans._resolve("risecure.isa", "step"))
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attribute reads rooted at a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def test_benchmark_module_attributes_resolve():
+    found = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> risecure module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "risecure":
+                        modules[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "risecure":
+                for alias in node.names:
+                    try:  # a submodule, or else a name read from node.module
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                        modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    except ModuleNotFoundError:
+                        found.append((path.name, node.module, alias.name))
+        for node in ast.walk(tree):
+            parts = (_dotted(node) or "").split(".") if isinstance(node, ast.Attribute) else []
+            # the longest module prefix, then the name read from that module
+            for cut in range(len(parts) - 1, 0, -1):
+                local = ".".join(parts[:cut])
+                if local in modules:
+                    found.append((path.name, modules[local], parts[cut]))
+                    break
+    assert any(name == "asm_sw" for _, _, name in found)
+    for script, module, name in found:
+        assert hasattr(importlib.import_module(module), name), f"{script}: {module}.{name}"
 
 
 def test_demo_imports_resolve():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risecure.extractor import enroll, get_code
 from risecure.hashing import bits_to_bytes, bytes_to_bits, compose_response
-from risecure.isa import (CUSTOM_OPCODE, F3_INNER_INIT, F3_OUTER_CHAL,
-                          IllegalInstruction, MachineState, PufDevice, asm_add,
-                          asm_addi, asm_beq, asm_ebreak, asm_i,
-                          asm_inner_puf_init, asm_jal, asm_lui, asm_lw,
+from risecure.isa import (CUSTOM_OPCODE, F3_INNER_INIT, F3_OUTER_CHAL, OP_AUIPC,
+                          OP_BRANCH, OP_IMM, OP_JAL, OP_JALR, OP_LOAD, OP_LUI,
+                          OP_REG, OP_STORE, IllegalInstruction, MachineState,
+                          PufDevice, asm_add, asm_addi, asm_beq, asm_ebreak,
+                          asm_i, asm_inner_puf_init, asm_jal, asm_lui, asm_lw,
                           asm_outer_puf_chal, asm_r, asm_sw, decode,
                           encode_fields, li32, run, step)
 from risecure.prng import derive_seed
@@ -187,9 +190,64 @@ def test_jalr_clears_low_bit_and_traps_when_misaligned():
 
     st = MachineState(memory_size=4096)
     st.regs[1] = 0x102
+    st.regs[2] = 0x55
     st.load_words(0, [asm_i(0b1100111, 0, 2, 1, 0)])
     assert step(st) == "trap"
     assert "misaligned" in st.trap_cause and st.pc == 0
+    assert st.regs[2] == 0x55  # the jump does not retire, so rd keeps its value
+
+    st = MachineState(memory_size=4096)
+    st.regs[2] = 0x55
+    st.load_words(0, [asm_jal(2, 6)])  # jal x2, +6
+    assert step(st) == "trap"
+    assert "misaligned" in st.trap_cause and st.pc == 0 and st.regs[2] == 0x55
+
+
+_FIELD = st.integers(0, 31)
+_WORDS = st.one_of(
+    st.integers(0, 0xFFFFFFFF),
+    # every major opcode with any funct3, funct7 mostly one of the two legal values;
+    # the R layout covers every bit of the other instruction formats too
+    st.builds(asm_r, st.sampled_from([OP_LUI, OP_AUIPC, OP_JAL, OP_JALR, OP_BRANCH, OP_LOAD,
+                                      OP_STORE, OP_IMM, OP_REG, CUSTOM_OPCODE]),
+              st.integers(0, 7), st.sampled_from([0, 0b0100000]) | st.integers(0, 127),
+              _FIELD, _FIELD, _FIELD),
+    st.builds(asm_addi, _FIELD, _FIELD, st.integers(-2048, 2047)),
+    st.builds(asm_lw, _FIELD, _FIELD, st.integers(-2048, 2047)),
+    st.builds(asm_sw, _FIELD, _FIELD, st.integers(-2048, 2047)),
+    st.builds(asm_beq, _FIELD, _FIELD, st.integers(-2048, 2047).map(lambda x: 2 * x)),
+    st.builds(asm_jal, _FIELD, st.integers(-(1 << 19), (1 << 19) - 1).map(lambda x: 2 * x)),
+    st.builds(asm_lui, _FIELD, st.integers(0, 0xFFFFF)),
+    st.builds(asm_inner_puf_init, _FIELD, _FIELD),
+    st.builds(asm_outer_puf_chal, _FIELD, _FIELD, _FIELD),
+    st.just(asm_ebreak()),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_WORDS, st.integers(0, 2**32 - 1), st.integers(0, 63).map(lambda i: 4 * i) | st.integers(0, 252))
+def test_decode_and_step_on_any_word(word, reg_seed, pc):
+    try:
+        instr = decode(word)
+    except IllegalInstruction:
+        instr = None
+    if instr is not None and instr.opcode in (OP_REG, CUSTOM_OPCODE):
+        assert encode_fields(instr) == word
+
+    state = MachineState(memory_size=256)  # no device: the custom opcode traps
+    state.memory[:] = bytes(range(256))
+    g = np.random.default_rng(reg_seed)  # half the registers small enough to address memory
+    regs = np.where(g.random(31) < 0.5, g.integers(0, 256, 31), g.integers(0, 1 << 32, 31))
+    state.regs[1:] = [int(v) for v in regs]
+    state.pc = pc
+    state.mem_write(pc, word.to_bytes(4, "little"))
+    before = (list(state.regs), state.pc, bytes(state.memory))
+    status = step(state)
+    assert status in ("continue", "halted", "trap")
+    if instr is None:
+        assert status == "trap"
+    if status == "trap":  # a trapped instruction retires nothing
+        assert (state.regs, state.pc, bytes(state.memory)) == before
 
 
 def test_memory_ops_widths_and_sign():

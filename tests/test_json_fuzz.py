@@ -1,10 +1,11 @@
 """Property tests of the JSON boundary: helper and system files.
 
 Any JSON value in any field must either load or raise ValueError, which the
-CLI prints as `error: ...`. Numbers are bounded to |x| <= 4096 because a PUF
-is built at load time: an arbiter allocates stages+1 weights per chain, so an
-unbounded stage count could allocate gigabytes. One field changes per example,
-which keeps every PUF a fuzzed file can describe small.
+CLI prints as `error: ...`. Numbers are bounded to |x| <= 4096, which already
+crosses the bounds the PUF constructors put on what a file can make them
+allocate at load (1024 arbiter stages, 64 XOR chains), so larger numbers
+would exercise nothing more. One field changes per example, which keeps
+every PUF a fuzzed file can describe small.
 """
 
 import json
