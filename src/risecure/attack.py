@@ -85,6 +85,8 @@ def loss_and_grad(weights, X, y):
 
 def train_logreg(dataset, epochs=400, learning_rate=1.0, seed=0):
     """Full-batch gradient descent on logistic loss; deterministic from seed."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     if len(dataset) < 200:
         raise ValueError("need at least 200 records to train")
     y = dataset.responses.astype(np.float64)

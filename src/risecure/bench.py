@@ -59,6 +59,8 @@ def run_batch_bench(code_name="rs", batch_sizes=(1, 2, 4, 8, 16), repeats=3,
     outside the timed region; both legs replay identical access sequences
     and noise seeds.
     """
+    if repeats < 1 or min(batch_sizes) < 1:
+        raise ValueError(f"repeats and batch sizes must be >= 1, got {repeats} and {batch_sizes}")
     code, puf = _bench_system(code_name, seed)
     outer = _outer_challenge(seed)
     num_keys = max(batch_sizes) if distinct_keys else 1
@@ -106,7 +108,7 @@ def run_batch_bench(code_name="rs", batch_sizes=(1, 2, 4, 8, 16), repeats=3,
         "mode": "hashed",
         "capacity": capacity,
         "rows": rows,
-        "fpga_reference": FPGA_REFERENCE[code.code_id.split("-")[0]],
+        "fpga_reference": FPGA_REFERENCE[code.family],
     }
 
 
@@ -117,6 +119,8 @@ def run_throughput_bench(code_name="rs", samples=200, seed=0):
     the measured overhead lands well under the hardware figures; both are
     reported side by side.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     code, puf = _bench_system(code_name, seed)
     c0 = int(stream("bench-keys", seed).integers(0, 1 << 63))
     helper, _ = enroll(puf, c0, code, derive_seed("bench-enroll", seed, 0))
@@ -141,5 +145,5 @@ def run_throughput_bench(code_name="rs", samples=200, seed=0):
         "samples": samples,
         "crps_per_ms": crps,
         "hash_overhead_pct": 100.0 * (crps["hashed"] - crps["corrected"]) / crps["corrected"],
-        "fpga_reference": FPGA_REFERENCE[code.code_id.split("-")[0]],
+        "fpga_reference": FPGA_REFERENCE[code.family],
     }

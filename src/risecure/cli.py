@@ -159,7 +159,7 @@ def cmd_attack(args):
 
 def cmd_selftest(args):
     from .selftest import run_selftest
-    ok, results = run_selftest(fault_inject=args.fault_inject, seed=args.seed)
+    ok, results = run_selftest(seed=args.seed)
     for name, passed, detail in results:
         line = f"{'PASS' if passed else 'FAIL'}  {name}"
         print(line if passed else f"{line}  ({detail})")
@@ -243,8 +243,6 @@ def build_parser():
     p_attack.set_defaults(func=cmd_attack)
 
     p_self = sub.add_parser("selftest", parents=[common], help="fast invariant suite")
-    p_self.add_argument("--fault-inject", action="store_true",
-                        help="corrupt the decoder to prove the suite catches it")
     p_self.set_defaults(func=cmd_selftest)
 
     p_exec = sub.add_parser("exec", parents=[common], help="run a program on the simulator")

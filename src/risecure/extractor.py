@@ -21,23 +21,20 @@ from .reed_solomon import ReedSolomonCode
 
 SCHEMA_VERSION = 1
 
-_CODES = {}
+_FAMILIES = {cls.family: cls for cls in (BchCode, ReedSolomonCode)}
+_CODES = {}  # family -> its default code
 
 
 def get_code(name):
-    """Look up a codec by short name ('bch', 'rs') or full code id."""
+    """Look up a codec by family ('bch', 'rs') or its default's full code id."""
     key = str(name).lower()
-    if key in ("bch", "bch-127-36-15"):
-        key = "bch-127-36-15"
-        factory = BchCode
-    elif key in ("rs", "rs-255-223-16"):
-        key = "rs-255-223-16"
-        factory = ReedSolomonCode
-    else:
-        raise ValueError(f"unknown code {name!r}; expected 'bch' or 'rs'")
-    if key not in _CODES:
-        _CODES[key] = factory()
-    return _CODES[key]
+    family = key.split("-")[0]
+    if family in _FAMILIES:
+        if family not in _CODES:
+            _CODES[family] = _FAMILIES[family]()
+        if key in (family, _CODES[family].code_id):
+            return _CODES[family]
+    raise ValueError(f"unknown code {name!r}; expected 'bch' or 'rs'")
 
 
 @dataclass

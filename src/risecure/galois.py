@@ -1,4 +1,4 @@
-"""GF(2^m) arithmetic and the systematic-code core shared by both codecs.
+"""GF(2^m) arithmetic and the systematic-code family behind both codecs.
 
 The field is represented through exp/log tables built from a primitive
 polynomial. Scalar helpers operate on plain ints (fast enough for the
@@ -6,13 +6,16 @@ Berlekamp-Massey inner loop); the polynomial helpers are single gathers on
 numpy copies of the tables. Polynomials over the field are numpy int arrays
 in ascending order, so ``poly[i]`` is the coefficient of x^i.
 
-`SystematicCode` is the core of both codecs. A narrow-sense binary BCH code
+`SystematicCode` is the whole code family. A narrow-sense binary BCH code
 is the binary subfield subcode of the Reed-Solomon code over the same field
-with the same 2t roots alpha^1..alpha^2t, so one encoder and one decoder
-serve both. A codec supplies its generator polynomial and its symbol width
-s (1 bit for BCH, m bits for RS); the core encodes with a GF(2) parity
-matrix and decodes by syndromes, Berlekamp-Massey, a Chien search over all
-q-1 positions and Forney, rejecting any magnitude wider than s bits.
+(MacWilliams & Sloane, ch. 10), so one formula gives both generators: the
+product of (x - alpha^e) over e = 1..2t, closed under e -> e*2^s mod q-1,
+where s is the symbol width (1 bit for BCH, m bits for RS, for which every
+exponent is its own conjugate). The family encodes with a GF(2) parity
+matrix, decodes by syndromes, Berlekamp-Massey, a Chien search over all q-1
+positions and Forney, rejecting any magnitude wider than s bits, and owns
+the bit contract (`code_id`, `encode_bits`, `decode_bits`). A codec is a
+parameter set: its family name, its field, t and s.
 """
 
 import numpy as np
@@ -149,31 +152,42 @@ class SystematicCode:
     """Systematic code of length q-1 whose generator has roots alpha^1..alpha^2t.
 
     Words are symbol arrays in ascending-power order, parity first; as bits,
-    each symbol takes s bits, most significant first. A codec passes its
-    field, t, monic generator and symbol width s to __init__ and builds its
-    public methods on the underscore helpers.
+    each symbol takes s bits, most significant first. A codec names its
+    `family`, passes its field, t and symbol width s to __init__, and
+    defines its public symbol-level encode, syndromes and decode on the
+    underscore helpers.
     """
+
+    family = None  # "bch" or "rs": the first part of code_id
 
     # read-only parity matrices shared by codes with equal parameters; the
     # matrix is most of a code's memory (1.8 MB for RS(255,223))
     _parity_matrices = {}
 
-    def __init__(self, field: GF2m, t: int, generator, s: int):
+    def __init__(self, field: GF2m, t: int, s: int):
         self.field = field
-        self.m = field.m
         self.t = t
         self.s = s
         self.n = field.order - 1
-        r = len(generator) - 1
+        # roots alpha^e for e = 1..2t and their conjugates e * 2^(s*i) mod n;
+        # i < m reaches them all, since 2^m = 1 mod n
+        roots = {(e << s * i) % self.n for e in range(1, 2 * t + 1) for i in range(field.m)}
+        g = np.array([1], dtype=np.int64)
+        for e in sorted(roots):
+            g = field.poly_mul(g, [field.exp[e], 1])
+        if (g >> s).any():
+            raise AssertionError(f"generator coefficients wider than {s} bits")
+        self.generator = g
+        r = len(g) - 1
         self.k = self.n - r
-        key = (field.m, field.primitive_poly, s, tuple(int(c) for c in generator))
+        key = (field.m, field.primitive_poly, s, t)
         if key not in self._parity_matrices:
             # GF(2) matrix from the k*s message bits to the r*s parity bits:
             # message symbol i with value 2^b = alpha^b adds alpha^b *
             # (x^(r+i) mod g) to the parity. float32 is exact for the
             # encoder's matmul, since every parity sum is at most k*s < 2^24.
             parity = np.empty((self.k * s, r * s), dtype=np.float32)
-            rem = g = np.asarray(generator, dtype=np.int64)[:r]  # x^r mod g
+            rem = g = g[:r]  # x^r mod g
             shifts = np.arange(s - 1, -1, -1)[:, None]
             for i in range(self.k):
                 rows = np.where(rem != 0, field.exp_np[field.log_np[rem] + shifts], 0)
@@ -185,6 +199,10 @@ class SystematicCode:
         # syndrome exponents: entry [j-1, i] = j*i mod (q-1), j = 1..2t
         j = np.arange(1, 2 * t + 1, dtype=np.int64)[:, None]
         self._synd_exps = (j * np.arange(self.n, dtype=np.int64)) % self.n
+
+    @property
+    def code_id(self) -> str:
+        return f"{self.family}-{self.n}-{self.k}-{self.t}"
 
     @property
     def n_bits(self) -> int:
@@ -216,6 +234,18 @@ class SystematicCode:
         """Codeword bits [parity, message] for k_bits uint8 message bits."""
         parity = (msg_bits.astype(np.float32) @ self._parity) % 2
         return np.concatenate([parity.astype(np.uint8), msg_bits])
+
+    def encode_bits(self, msg_bits) -> np.ndarray:
+        """Codeword bits for a k_bits message; bits map to symbols MSB first."""
+        return self._encode_bits(self._word(msg_bits, self.k_bits, np.uint8, "message", "bits"))
+
+    def decode_bits(self, rx_bits):
+        """Message bits of the codeword within t symbols of rx_bits, or None."""
+        bits = self._word(rx_bits, self.n_bits, np.uint8, "received word", "bits")
+        msg = self.decode(self._symbols(bits))
+        if msg is None:
+            return None
+        return self._bits(msg)
 
     def _syndromes(self, rx) -> np.ndarray:
         """S_j = rx(alpha^j) for j = 1..2t, one gather over the nonzero symbols."""

@@ -2,17 +2,16 @@
 
 Each check is small and deterministic; together they cover the codec
 round trips, the code-offset identity, buffer policy, hash widths, and the
-instruction plumbing in a few seconds. The fault_inject flag swaps the
-default codec for one whose decoder corrupts its output, which must make
-the suite fail; it exists to prove the harness can actually detect a
-broken decoder.
+instruction plumbing in a few seconds. Every check takes only the seed and
+looks up the default codes itself, so a broken decoder in the code family
+fails every check that decodes; the test suite proves this by patching the
+decoder.
 """
 
 import hashlib
 
 import numpy as np
 
-from .bch import BchCode
 from .buffer import LookasideBuffer, select_output
 from .extractor import enroll, get_code, reconstruct
 from .hashing import compose_response
@@ -20,33 +19,15 @@ from .isa import (MachineState, PufDevice, asm_ebreak, asm_inner_puf_init,
                   asm_outer_puf_chal, decode, encode_fields, li32, run)
 from .prng import splitmix64, stream
 from .puf import ArbiterPuf, SramPuf, parity_features
-from .reed_solomon import ReedSolomonCode
 
 SHA3_256_ABC = "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"
 
 
-class _CorruptedCode:
-    """Wraps a codec so decode silently flips a message bit (fault injection)."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def decode_bits(self, rx_bits):
-        msg = self._inner.decode_bits(rx_bits)
-        if msg is not None:
-            msg = msg.copy()
-            msg[0] ^= 1
-        return msg
-
-
-def _check_splitmix_vector(code, seed):
+def _check_splitmix_vector(seed):
     assert int(splitmix64(0)) == 0xE220A8397B1DCDAF
 
 
-def _check_parity_features(code, seed):
+def _check_parity_features(seed):
     for c in range(16):
         bits = [(c >> i) & 1 for i in range(4)]
         phi = parity_features(np.array(bits, dtype=np.uint8))
@@ -56,7 +37,8 @@ def _check_parity_features(code, seed):
         assert phi[4] == 1
 
 
-def _check_codec_clean_roundtrip(code, seed):
+def _check_codec_clean_roundtrip(seed):
+    code = get_code("bch")
     g = stream("selftest-codec", seed)
     for _ in range(10):
         msg = g.integers(0, 2, code.k_bits, dtype=np.uint8)
@@ -64,7 +46,8 @@ def _check_codec_clean_roundtrip(code, seed):
         assert out is not None and np.array_equal(out, msg)
 
 
-def _check_codec_terror_roundtrip(code, seed):
+def _check_codec_terror_roundtrip(seed):
+    code = get_code("bch")
     g = stream("selftest-codec-err", seed)
     for _ in range(20):
         msg = g.integers(0, 2, code.k_bits, dtype=np.uint8)
@@ -76,7 +59,8 @@ def _check_codec_terror_roundtrip(code, seed):
         assert out is not None and np.array_equal(out, msg)
 
 
-def _check_code_offset_identity(code, seed):
+def _check_code_offset_identity(seed):
+    code = get_code("bch")
     g = stream("selftest-offset", seed)
     for _ in range(10):
         r = g.integers(0, 2, code.k_bits, dtype=np.uint8)
@@ -90,8 +74,8 @@ def _check_code_offset_identity(code, seed):
         assert np.array_equal(r2, r1)
 
 
-def _check_rs_symbol_errors(code, seed):
-    rs = ReedSolomonCode()
+def _check_rs_symbol_errors(seed):
+    rs = get_code("rs")
     g = stream("selftest-rs", seed)
     for _ in range(5):
         msg = g.integers(0, 256, rs.k)
@@ -103,7 +87,7 @@ def _check_rs_symbol_errors(code, seed):
         assert out is not None and np.array_equal(out, msg)
 
 
-def _check_extractor_zero_noise(code, seed):
+def _check_extractor_zero_noise(seed):
     real = get_code("bch")
     puf = SramPuf(seed, num_blocks=2, block_bits=real.n_bits, p=0.0)
     helper, r2 = enroll(puf, 0, real, seed)
@@ -111,7 +95,7 @@ def _check_extractor_zero_noise(code, seed):
     assert got is not None and np.array_equal(got, r2)
 
 
-def _check_buffer_fifo(code, seed):
+def _check_buffer_fifo(seed):
     buf = LookasideBuffer(capacity=4)
     for k in range(5):
         buf.insert(k, ("entry", k))
@@ -122,13 +106,13 @@ def _check_buffer_fifo(code, seed):
     assert buf.lookup(2) == ("entry", "replaced")
 
 
-def _check_hash_vector(code, seed):
+def _check_hash_vector(seed):
     assert hashlib.sha3_256(b"abc").hexdigest() == SHA3_256_ABC
     bits = compose_response(np.zeros(127, dtype=np.uint8), np.zeros(128, dtype=np.uint8), 127)
     assert bits.shape == (256,)
 
 
-def _check_hash_widths(code, seed):
+def _check_hash_widths(seed):
     r2 = np.zeros(127, dtype=np.uint8)
     c = np.zeros(128, dtype=np.uint8)
     for bad_r2, bad_c in ((np.zeros(126, dtype=np.uint8), c), (r2, np.zeros(129, dtype=np.uint8))):
@@ -139,7 +123,7 @@ def _check_hash_widths(code, seed):
             pass
 
 
-def _check_hash_avalanche(code, seed):
+def _check_hash_avalanche(seed):
     g = stream("selftest-avalanche", seed)
     r2 = g.integers(0, 2, 127, dtype=np.uint8)
     c = g.integers(0, 2, 128, dtype=np.uint8)
@@ -152,7 +136,7 @@ def _check_hash_avalanche(code, seed):
     assert 0.3 < np.mean(fracs) < 0.7
 
 
-def _check_output_mux(code, seed):
+def _check_output_mux(seed):
     real = get_code("bch")
     puf = SramPuf(seed + 1, num_blocks=2, block_bits=real.n_bits, p=0.0)
     helper, r2 = enroll(puf, 1, real, seed)
@@ -165,7 +149,7 @@ def _check_output_mux(code, seed):
         pass
 
 
-def _check_isa_vectors(code, seed):
+def _check_isa_vectors(seed):
     init = decode(0x0002952B)
     assert (init.name, init.rs1, init.rd) == ("inner_puf_init", 5, 10)
     chal = decode(0x0062A52B)
@@ -174,7 +158,7 @@ def _check_isa_vectors(code, seed):
     assert encode_fields(chal) == 0x0062A52B
 
 
-def _check_isa_program(code, seed):
+def _check_isa_program(seed):
     real = get_code("bch")
     device = PufDevice(real, seed=seed)
     device.register(0, SramPuf(seed + 2, num_blocks=4, block_bits=real.n_bits, p=0.02))
@@ -216,15 +200,12 @@ CHECKS = [
 ]
 
 
-def run_selftest(fault_inject=False, seed=0):
+def run_selftest(seed=0):
     """Run every check; returns (all_passed, [(name, ok, detail), ...])."""
-    code = BchCode()
-    if fault_inject:
-        code = _CorruptedCode(code)
     results = []
     for name, fn in CHECKS:
         try:
-            fn(code, seed)
+            fn(seed)
             results.append((name, True, ""))
         except Exception as exc:  # a failing check must not stop the suite
             results.append((name, False, f"{type(exc).__name__}: {exc}"))

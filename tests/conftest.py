@@ -1,6 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
+
+from risecure.galois import SystematicCode
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 ACCEPTANCE_RESULTS = []
@@ -20,3 +24,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  -- {detail}"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def corrupted_decoder(monkeypatch):
+    """Patch the code family's decoder to flip one message symbol of its output."""
+    correct = SystematicCode._correct
+
+    def corrupted(code, rx):
+        msg = correct(code, rx)
+        if msg is not None:
+            msg[0] ^= 1
+        return msg
+
+    monkeypatch.setattr(SystematicCode, "_correct", corrupted)

@@ -292,12 +292,25 @@ def test_bench_command_writes_report(tmp_path, capsys):
     assert "speedup" in capsys.readouterr().out
 
 
-def test_selftest_command(capsys):
+@pytest.mark.parametrize("argv", [
+    ["bench", "--code", "bch", "--batch-sizes", "1", "--repeats", "0"],
+    ["bench", "--code", "bch", "--batch-sizes", "1,0", "--repeats", "1"],
+    ["bench", "--code", "bch", "--batch-sizes", "1", "--throughput-samples", "0"],
+    ["attack", "--train", "200", "--test", "100", "--epochs", "0"],
+], ids=["bench-repeats", "bench-batch-size", "bench-throughput-samples", "attack-epochs"])
+def test_zero_counts_exit_1_without_traceback(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_selftest_command(capsys, request):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "selftest: ok" in out and "FAIL" not in out
 
-    assert main(["selftest", "--fault-inject"]) == 1
+    request.getfixturevalue("corrupted_decoder")
+    assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "selftest: FAILED" in out
 

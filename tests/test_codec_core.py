@@ -3,7 +3,9 @@
 A brute-force nearest-codeword oracle on two small codes pins what the
 shared decoder does at every error weight, beyond t included (failure
 versus miscorrection), and a digest of decode outcomes pins the two
-full-size codes to the per-codec decoders they replaced.
+full-size codes to the per-codec decoders they replaced. The generators
+the core derives are checked against each codec's own textbook
+construction.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from risecure.bch import BchCode
+from risecure.galois import GF2m
 from risecure.reed_solomon import ReedSolomonCode
 
 
@@ -48,6 +51,46 @@ def test_decode_matches_bruteforce_nearest_codeword(code, symbol_max):
                 assert got is not None and np.array_equal(got, msgs[near[0]]), weight
             else:
                 assert got is None, weight
+
+
+def _minpoly_generator(gf, t):
+    """BCH: the product of the minimal polynomials of the 2-cyclotomic cosets of 1..2t."""
+    n, seen, gen = gf.order - 1, set(), np.array([1], dtype=np.int64)
+    for j in range(1, 2 * t + 1):
+        if j in seen:
+            continue
+        minpoly, e = np.array([1], dtype=np.int64), j
+        while e not in seen:
+            seen.add(e)
+            minpoly = gf.poly_mul(minpoly, [gf.pow_alpha(e), 1])
+            e = 2 * e % n
+        assert set(minpoly.tolist()) <= {0, 1}
+        gen = gf.poly_mul(gen, minpoly)
+    return gen.astype(np.uint8)
+
+
+def _root_product_generator(gf, t):
+    """RS: the product of (x - alpha^j) for j = 1..2t."""
+    gen = np.array([1], dtype=np.int64)
+    for j in range(1, 2 * t + 1):
+        gen = gf.poly_mul(gen, [gf.pow_alpha(j), 1])
+    return gen
+
+
+@pytest.mark.parametrize("make,m,t,poly,build", [
+    (BchCode, 7, 15, 0x89, _minpoly_generator),
+    (BchCode, 4, 3, 0x13, _minpoly_generator),
+    (BchCode, 5, 3, 0x25, _minpoly_generator),
+    (ReedSolomonCode, 8, 16, 0x11D, _root_product_generator),
+    (ReedSolomonCode, 4, 2, 0x13, _root_product_generator),
+    (ReedSolomonCode, 3, 2, 0xB, _root_product_generator),
+], ids=["bch-127-36-15", "bch-15-5-3", "bch-31-16-3", "rs-255-223-16", "rs-15-11-2", "rs-7-3-2"])
+def test_generator_matches_the_per_codec_construction(make, m, t, poly, build):
+    code = make(m=m, t=t, primitive_poly=poly)
+    want = build(GF2m(m, poly), t)
+    assert code.generator.dtype == want.dtype
+    assert np.array_equal(code.generator, want)
+    assert code.k == code.n - (len(want) - 1)
 
 
 def test_rs_bit_interface_with_four_bit_symbols():

@@ -2,7 +2,8 @@
 
 The benchmark's tracer (perfbench/spans.py) wraps functions by module and
 attribute path; a target that no longer resolves would only show as a zero
-per-layer metric in a traced run. The benchmark's other code reads module
+per-layer metric in a traced run, and one a class inherits would be
+counted in every codec's span. The benchmark's other code reads module
 attributes such as `isa.asm_sw`, which a rename would break only when the
 benchmark runs. The demos import by name and are not run by this suite.
 """
@@ -27,6 +28,16 @@ def test_benchmark_span_targets_resolve():
     for name, (module, path) in spans.SPANS.items():
         assert callable(spans._resolve(module, path)), name
     assert callable(spans._resolve("risecure.isa", "step"))
+
+
+def test_benchmark_span_targets_are_defined_on_their_class():
+    # the tracer finds class attributes through vars(cls); a target that a
+    # class only inherits would be wrapped on the base, once per subclass
+    spans = _load_spans()
+    for name, (module, path) in spans.SPANS.items():
+        if "." in path:
+            cls_name, attr = path.rsplit(".", 1)
+            assert attr in vars(spans._resolve(module, cls_name)), name
 
 
 def _dotted(node):

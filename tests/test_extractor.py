@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from risecure.bch import BchCode
+from risecure import extractor
 from risecure.buffer import LookasideBuffer, sample_with_buffer
 from risecure.extractor import HelperData, enroll, get_code, reconstruct
 from risecure.hashing import bits_to_bytes, compose_response
@@ -39,6 +40,18 @@ def test_get_code_aliases_and_caching():
     assert (rs.n_bits, rs.k_bits) == (2040, 1784)
     with pytest.raises(ValueError):
         get_code("hamming")
+
+
+def test_get_code_builds_only_the_family_it_looks_up(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built a code nobody asked for")
+
+    monkeypatch.setattr(extractor, "_CODES", {})
+    monkeypatch.setattr(ReedSolomonCode, "__init__", refuse)
+    assert get_code("Bch-127-36-15") is get_code("bch")
+    for name in ("bch-31-16-3", "bch-127-36", "hamming"):
+        with pytest.raises(ValueError):
+            get_code(name)
 
 
 def test_enroll_is_deterministic_in_rng_seed():
