@@ -20,11 +20,17 @@ Base-ISA meaning lives in one table per instruction class (branch
 predicate, load width and sign, store width, ALU op shared by the register
 and immediate forms). decode puts its word's entry, or the custom
 instruction's handler, into the Instr it returns, and step executes it.
+decode is a pure function of the word, so it is cached by word, which stays
+correct when a program writes its own code; step reads each word from
+memory in place.
 Every trap leaves step through one exit before anything is written, so a
 trapped instruction retires nothing: registers, memory and pc keep their values.
 """
 
+import functools
 import hashlib
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,7 @@ F3_INNER_INIT = 0b001
 F3_OUTER_CHAL = 0b010
 
 MASK32 = 0xFFFFFFFF
+_WORD = struct.Struct("<I")
 
 
 class Trap(Exception):
@@ -58,8 +65,10 @@ def _sext(value, bits):
     return (value & (sign - 1)) - (value & sign)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Instr:
+    """One decoded word; decode shares each instance between all its callers."""
+
     name: str
     opcode: int
     rd: int = 0
@@ -109,9 +118,21 @@ _ALU = {  # (funct3, funct7 == 0100000): (register name, immediate name, op(rs1,
 }
 
 
+DECODE_CACHE_SIZE = 4096  # bounded, so decoding arbitrary words cannot grow it without limit
+
+
 def decode(word):
-    """Decode a 32-bit word; raises IllegalInstruction on unknown encodings."""
-    word &= MASK32
+    """Decode a 32-bit word; raises IllegalInstruction on unknown encodings.
+
+    Decoding is a pure function of the word, so results are cached by word:
+    a program that overwrites its own code runs the new word, and an illegal
+    word traps every time (lru_cache keeps no exceptions).
+    """
+    return _decode_word(operator.index(word) & MASK32)
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _decode_word(word):
     opcode = word & 0x7F
     rd = (word >> 7) & 0x1F
     funct3 = (word >> 12) & 0x7
@@ -119,7 +140,6 @@ def decode(word):
     rs2 = (word >> 20) & 0x1F
     funct7 = (word >> 25) & 0x7F
     fields = (opcode, rd, rs1, rs2, funct3, funct7)
-    i_imm = _sext(word >> 20, 12)
 
     if opcode == OP_REG or (opcode == OP_IMM and funct3 in (0b001, 0b101)):
         # one lookup for register ops and immediate shifts, whose amount is the rs2 field
@@ -132,12 +152,12 @@ def decode(word):
         return Instr(imm_name, *fields, rs2, op)
     if opcode == OP_IMM:
         _, name, op = _ALU[funct3, 0]
-        return Instr(name, *fields, i_imm, op)
+        return Instr(name, *fields, _sext(word >> 20, 12), op)
     if opcode == OP_LOAD:
         if funct3 not in _LOADS:
             raise IllegalInstruction(f"bad load funct3 {funct3:#o}")
         name, width = _LOADS[funct3]
-        return Instr(name, *fields, i_imm, width)
+        return Instr(name, *fields, _sext(word >> 20, 12), width)
     if opcode == OP_STORE:
         if funct3 not in _STORES:
             raise IllegalInstruction(f"bad store funct3 {funct3:#o}")
@@ -169,7 +189,7 @@ def decode(word):
             | (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1)
         return Instr("jal", *fields, _sext(imm, 21))
     if opcode == OP_JALR and funct3 == 0:
-        return Instr("jalr", *fields, i_imm)
+        return Instr("jalr", *fields, _sext(word >> 20, 12))
     if opcode == OP_SYSTEM and word == 0x00100073:
         return Instr("ebreak", *fields)
     raise IllegalInstruction(f"unknown instruction word {word:#010x}")
@@ -244,13 +264,22 @@ class MachineState:
             self.mem_write(addr + 4 * i, int(w).to_bytes(4, "little"))
 
     def load_hex_program(self, text):
-        """Load lines of the form 'ADDR: WORD' (hex); '#' starts a comment."""
-        for raw in text.splitlines():
+        """Load lines of the form 'ADDR: WORD' (hex); '#' starts a comment.
+
+        A line of another form, or a word outside [0, 2^32), raises
+        ValueError naming its line number.
+        """
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            addr_s, word_s = line.split(":")
-            self.mem_write(int(addr_s, 16), int(word_s, 16).to_bytes(4, "little"))
+            try:
+                addr_s, word_s = line.split(":")
+                addr, data = int(addr_s, 16), int(word_s, 16).to_bytes(4, "little")
+            except (ValueError, OverflowError):
+                raise ValueError(f"program line {lineno}: expected 'ADDR: WORD' in hex with "
+                                 f"WORD in [0, 0xffffffff], got {line!r}") from None
+            self.mem_write(addr, data)
 
     def dump(self):
         """JSON-ready snapshot: registers, pc, status, memory digest."""
@@ -306,10 +335,13 @@ def step(state):
     """
     pc = state.pc
     regs = state.regs
+    memory = state.memory
     try:
         if pc % 4:
             raise Trap(f"misaligned fetch at {pc:#x}")
-        instr = decode(int.from_bytes(state.mem_read(pc, 4), "little"))
+        if not 0 <= pc <= len(memory) - 4:  # unpack_from alone would count a negative pc from the end
+            raise MemoryFault(f"read [{pc:#x}, +4) out of bounds")
+        instr = _decode_word(_WORD.unpack_from(memory, pc)[0])
         opcode = instr.opcode
         next_pc = (pc + 4) & MASK32
         rd_value = None  # set by the instructions that write rd
@@ -360,6 +392,8 @@ def step(state):
 
 def run(state, max_steps=1_000_000):
     """Step until halt or trap; returns the final status."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     for _ in range(max_steps):
         if step(state) != "continue":
             return state.status

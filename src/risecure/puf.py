@@ -71,6 +71,7 @@ class SramPuf:
         self.num_blocks = int(num_blocks)
         self.block_bits = int(block_bits)
         self.p = float(p)
+        self._ref = {}  # block -> its read-only power-up value, a pure function of (seed, block)
 
     def read(self, c0, n_bits, noise_seed=None):
         """Block c0, which must be n_bits wide; its power-up value when noise_seed is None."""
@@ -79,7 +80,11 @@ class SramPuf:
         block = int(c0)
         if not 0 <= block < self.num_blocks:
             raise ValueError(f"block index {block} out of range [0, {self.num_blocks})")
-        ref = stream("sram-ref", self.seed, block).integers(0, 2, self.block_bits, dtype=np.uint8)
+        ref = self._ref.get(block)
+        if ref is None:
+            ref = stream("sram-ref", self.seed, block).integers(0, 2, self.block_bits, dtype=np.uint8)
+            ref.flags.writeable = False
+            self._ref[block] = ref
         if noise_seed is None or self.p == 0:
             return ref
         g = stream("sram-read", self.seed, block, noise_seed)

@@ -330,6 +330,36 @@ def test_exec_command_runs_hex_programs(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("line", ["0: 1FFFFFFFF", "0: -1", "00100073"],
+                         ids=["word-too-wide", "word-negative", "no-colon"])
+def test_exec_malformed_hex_line_exits_1(tmp_path, capsys, line):
+    prog = tmp_path / "prog.hex"
+    prog.write_text(f"0: 00100073\n{line}\n")
+    rc = main(["exec", "--program", str(prog), "--mem-size", "256"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: program line 2:") and "'ADDR: WORD'" in captured.err
+
+
+@pytest.mark.parametrize("max_steps", ["0", "-1"])
+def test_exec_max_steps_below_1_exits_1(tmp_path, capsys, max_steps):
+    prog = tmp_path / "prog.hex"
+    prog.write_text("0: 00100073\n")
+    rc = main(["exec", "--program", str(prog), "--mem-size", "256", "--max-steps", max_steps])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: max_steps must be >= 1, got {max_steps}\n"
+
+
+def test_exec_negative_entry_traps_at_fetch(tmp_path, capsys):
+    prog = tmp_path / "prog.hex"
+    prog.write_text("0: 00100073\n")
+    rc = main(["exec", "--program", str(prog), "--mem-size", "256", "--entry", "-4"])
+    dump = json.loads(capsys.readouterr().out)
+    assert rc == 1 and dump["pc"] == -4
+    assert dump["status"] == "trap" and dump["trap_cause"] == "read [-0x4, +4) out of bounds"
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "risecure.cli", "--help"],
                           capture_output=True, text=True)

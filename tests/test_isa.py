@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +9,9 @@ from hypothesis import strategies as st
 
 from risecure.extractor import enroll, get_code
 from risecure.hashing import bits_to_bytes, bytes_to_bits, compose_response
-from risecure.isa import (CUSTOM_OPCODE, F3_INNER_INIT, F3_OUTER_CHAL, OP_AUIPC,
-                          OP_BRANCH, OP_IMM, OP_JAL, OP_JALR, OP_LOAD, OP_LUI,
+from risecure import isa
+from risecure.isa import (CUSTOM_OPCODE, DECODE_CACHE_SIZE, F3_INNER_INIT, F3_OUTER_CHAL,
+                          OP_AUIPC, OP_BRANCH, OP_IMM, OP_JAL, OP_JALR, OP_LOAD, OP_LUI,
                           OP_REG, OP_STORE, IllegalInstruction, MachineState,
                           PufDevice, asm_add, asm_addi, asm_beq, asm_ebreak,
                           asm_i, asm_inner_puf_init, asm_jal, asm_lui, asm_lw,
@@ -82,6 +87,89 @@ def test_malformed_base_words_rejected():
     ):
         with pytest.raises(IllegalInstruction):
             decode(word)
+
+
+def test_decode_cache_is_bounded_and_shares_frozen_instances():
+    words = [asm_lui(1, imm20) for imm20 in range(DECODE_CACHE_SIZE + 500)]
+    for w in words:
+        decode(w)
+    info = isa._decode_word.cache_info()
+    assert info.maxsize == DECODE_CACHE_SIZE and info.currsize <= DECODE_CACHE_SIZE
+    assert decode(words[0]).imm == 0  # evicted, decoded again
+    assert decode(words[-1]) is decode(words[-1] | (1 << 32))  # keyed on the masked word
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        decode(words[-1]).rd = 2
+    i = decode(np.uint32(0x00500093))  # a numpy word shares its entry with the int
+    assert i is decode(0x00500093) and type(i.imm) is int
+    for _ in range(2):  # an illegal word is not cached: it traps every time
+        with pytest.raises(IllegalInstruction):
+            decode(0xFFFFFFFF)
+
+
+def test_self_modifying_code_runs_the_new_word():
+    # pass 1 runs `addi x1, x1, 1` at 0, then stores `addi x1, x1, 100`
+    # (held in x4) over it and jumps back; pass 2 must run the new word
+    bne = asm_beq(3, 0, 16) | (0b001 << 12)
+    st = _run_words([asm_addi(1, 1, 1), bne, asm_addi(3, 0, 1), asm_sw(0, 4, 0), asm_jal(0, -16)],
+                    regs={4: asm_addi(1, 1, 100)})
+    assert st.status == "halted" and st.pc == 20
+    assert st.regs[1] == 101  # 1 + 100: the stale word would give 2
+    assert st.mem_read(0, 4) == asm_addi(1, 1, 100).to_bytes(4, "little")
+
+
+def _random_word(r, code_bytes, mem):
+    """One instruction word of a random kind; illegal and trapping ones included."""
+    reg = lambda: r.randrange(32)  # noqa: E731
+    kind = r.randrange(13)
+    if kind == 0:
+        return asm_r(OP_REG, r.randrange(8), r.choice((0, 0x20, 0x20, 1)), reg(), reg(), reg())
+    if kind in (1, 2):
+        return asm_i(OP_IMM, r.randrange(8), reg(), reg(), r.randrange(-2048, 2048))
+    if kind == 3:  # load from an absolute address, sometimes past the end of memory
+        return asm_i(OP_LOAD, r.randrange(8), reg(), 0, r.randrange(mem + 8))
+    if kind in (4, 5):  # store to an absolute address, often over the code itself
+        f3, addr = r.randrange(4), r.randrange(code_bytes if kind == 4 else mem + 8)
+        return asm_r(OP_STORE, f3, (addr >> 5) & 0x7F, addr & 0x1F, 0, reg())
+    if kind == 6:
+        return asm_beq(reg(), reg(), 2 * r.randrange(-12, 13)) | (r.randrange(8) << 12)
+    if kind == 7:
+        return asm_jal(reg(), 2 * r.randrange(-12, 13))
+    if kind == 8:
+        return asm_i(OP_JALR, r.randrange(2), reg(), reg(), r.randrange(-64, 64))
+    if kind == 9:
+        lui = asm_lui(reg(), r.randrange(1 << 20))
+        return lui if r.randrange(2) else (lui & ~0x7F) | OP_AUIPC
+    if kind == 10:
+        return asm_r(CUSTOM_OPCODE, r.randrange(4), 0, reg(), reg(), 0)  # no device: traps
+    if kind == 11:
+        return asm_ebreak()
+    return r.getrandbits(32)
+
+
+def test_random_programs_reach_the_recorded_final_state():
+    """3000 random programs end in the state the uncached interpreter gave.
+
+    Registers x1..x8 hold instruction words, so stores into the code region
+    rewrite code that may already have run (in 339 of the programs); x9..x20
+    hold addresses. Of the 3000, 395 halt and the rest trap, on every trap
+    kind: illegal words, misaligned jumps, out-of-bounds loads, stores and
+    fetches, the custom opcode with no device, and the step budget. The
+    digest was recorded with the interpreter of commit 26c12e8, which
+    decoded every fetched word afresh.
+    """
+    r = random.Random(7)
+    n_words, mem = 24, 512
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        st = MachineState(memory_size=mem)
+        st.load_words(0, [_random_word(r, 4 * n_words, mem) for _ in range(n_words)])
+        st.regs[1:9] = [_random_word(r, 4 * n_words, mem) for _ in range(8)]
+        st.regs[9:21] = [r.randrange(mem) for _ in range(12)]
+        st.regs[21:] = [r.getrandbits(32) for _ in range(11)]
+        run(st, max_steps=64)
+        digest.update(repr((st.status, st.trap_cause, st.pc, st.regs)).encode())
+        digest.update(st.memory)
+    assert digest.hexdigest() == "19e46c871b26ee9b37847dcd870e9bdbb76fb85227a87295e4b635ee3f4dcdfe"
 
 
 # --- base machine semantics ----------------------------------------------
@@ -283,6 +371,16 @@ def test_traps_preserve_pc_and_stop_the_machine():
     st.load_words(0, [asm_jal(0, 0)])  # spin forever
     assert run(st, max_steps=50) == "trap"
     assert "budget" in st.trap_cause
+    with pytest.raises(ValueError, match="max_steps"):
+        run(st, max_steps=0)
+
+
+@pytest.mark.parametrize("mem, pc", [(4096, -4), (4096, 4096), (4096, 1 << 32), (6, 4)])
+def test_fetch_out_of_bounds_traps_like_a_load(mem, pc):
+    st = MachineState(memory_size=mem)
+    st.pc = pc
+    assert run(st) == "trap" and st.pc == pc
+    assert st.trap_cause == f"read [{pc:#x}, +4) out of bounds"
 
 
 def test_load_hex_program_and_dump():

@@ -52,6 +52,18 @@ def test_sram_reference_is_deterministic():
     assert not np.array_equal(a.read(0, 127), a.read(1, 127))
 
 
+def test_sram_reference_block_is_built_once_and_read_only():
+    warm = SramPuf(4, num_blocks=4, p=0.1)
+    ref = warm.read(2, 127)
+    assert np.array_equal(ref, stream("sram-ref", 4, 2).integers(0, 2, 127, dtype=np.uint8))
+    assert warm.read(2, 127) is ref and not ref.flags.writeable
+    with pytest.raises(ValueError):
+        ref[0] ^= 1
+    for ns in range(5):  # noisy reads over the kept block equal a fresh instance's
+        fresh = SramPuf(4, num_blocks=4, p=0.1)
+        assert np.array_equal(warm.read(2, 127, noise_seed=ns), fresh.read(2, 127, noise_seed=ns))
+
+
 def test_sram_zero_noise_fixed_point_exhaustive_blocks():
     puf = SramPuf(7, num_blocks=8, p=0.0)
     for blk in range(8):
