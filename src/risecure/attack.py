@@ -146,6 +146,8 @@ def attack_datasets(seed, count, stages, code):
 def run_attack(seed=0, train_count=10000, test_count=2000, epochs=400,
                learning_rate=1.0, stages=64, code=None):
     """Train and score the attacker in both modes; returns the full report."""
+    if train_count < 1 or test_count < 1:
+        raise ValueError(f"train and test counts must be >= 1, got {train_count} and {test_count}")
     if code is None:
         code = get_code("bch")
     report = {}

@@ -21,8 +21,8 @@ predicate, load width and sign, store width, ALU op shared by the register
 and immediate forms). decode puts its word's entry, or the custom
 instruction's handler, into the Instr it returns, and step executes it.
 decode is a pure function of the word, so it is cached by word, which stays
-correct when a program writes its own code; step reads each word from
-memory in place.
+correct when a program writes its own code; step reads each word, and
+each load's value, from memory in place after one bounds check.
 Every trap leaves step through one exit before anything is written, so a
 trapped instruction retires nothing: registers, memory and pc keep their values.
 """
@@ -99,9 +99,10 @@ _BRANCHES = {  # funct3: (name, taken(rs1, rs2))
     0b110: ("bltu", lambda a, b: a < b),
     0b111: ("bgeu", lambda a, b: a >= b),
 }
-_LOADS = {  # funct3: (name, (bytes, sign-extends))
-    0b000: ("lb", (1, True)), 0b001: ("lh", (2, True)), 0b010: ("lw", (4, False)),
-    0b100: ("lbu", (1, False)), 0b101: ("lhu", (2, False)),
+_LOADS = {  # funct3: (name, little-endian format of its width and sign)
+    0b000: ("lb", struct.Struct("<b")), 0b001: ("lh", struct.Struct("<h")),
+    0b010: ("lw", struct.Struct("<I")), 0b100: ("lbu", struct.Struct("<B")),
+    0b101: ("lhu", struct.Struct("<H")),
 }
 _STORES = {0b000: ("sb", 1), 0b001: ("sh", 2), 0b010: ("sw", 4)}  # funct3: (name, bytes)
 _ALU = {  # (funct3, funct7 == 0100000): (register name, immediate name, op(rs1, rs2 or imm))
@@ -156,8 +157,8 @@ def _decode_word(word):
     if opcode == OP_LOAD:
         if funct3 not in _LOADS:
             raise IllegalInstruction(f"bad load funct3 {funct3:#o}")
-        name, width = _LOADS[funct3]
-        return Instr(name, *fields, _sext(word >> 20, 12), width)
+        name, load = _LOADS[funct3]
+        return Instr(name, *fields, _sext(word >> 20, 12), load)
     if opcode == OP_STORE:
         if funct3 not in _STORES:
             raise IllegalInstruction(f"bad store funct3 {funct3:#o}")
@@ -311,10 +312,11 @@ def _exec_inner_puf_init(state, instr):
 
 def _exec_outer_puf_chal(state, instr):
     dev = state.device
+    out_addr = state.regs[instr.rs2]
+    if not 0 <= out_addr <= len(state.memory) - 32:  # validate the output region up front
+        return 2
     try:
         block = state.mem_read(state.regs[instr.rs1], 20)
-        out_addr = state.regs[instr.rs2]
-        state.mem_read(out_addr, 32)  # validate the output region up front
     except MemoryFault:
         return 2
     idx = int.from_bytes(block[0:4], "little")
@@ -350,9 +352,11 @@ def step(state):
         elif opcode == OP_REG:
             rd_value = instr.op(regs[instr.rs1], regs[instr.rs2])
         elif opcode == OP_LOAD:
-            size, signed = instr.op
-            data = state.mem_read((regs[instr.rs1] + instr.imm) & MASK32, size)
-            rd_value = int.from_bytes(data, "little", signed=signed)
+            load = instr.op
+            addr = (regs[instr.rs1] + instr.imm) & MASK32
+            if addr + load.size > len(memory):
+                raise MemoryFault(f"read [{addr:#x}, +{load.size}) out of bounds")
+            rd_value = load.unpack_from(memory, addr)[0]
         elif opcode == OP_STORE:
             size = instr.op
             state.mem_write((regs[instr.rs1] + instr.imm) & MASK32,

@@ -13,14 +13,72 @@ of s bits is mapped to parity features Phi(c) in {-1,+1}^(s+1), and the
 response bit is ``w . Phi(c) + eps > 0`` with per-evaluation Gaussian noise
 eps. A multi-bit raw response is produced by expanding one 64-bit inner
 challenge into per-bit sub-challenges with a public splitmix64 mixer.
+
+The arbiter kinds compute on packed challenge words: each sub-challenge is
+ceil(s/64) uint64 words, stage 64j + k in bit k of word j. Feature i is
+(-1) raised to the XOR of bits i..s-1, so a few shift-XORs per word turn the
+words into suffix-parity words (Warren, Hacker's Delight, 2nd ed., 5-2).
+Each chain keeps a per-byte table of its weights, so a margin is one table
+entry per byte of suffix parity plus the bias; no float feature matrix is
+built on a read. ``parity_features`` unpacks the same words for callers
+that need the {-1,+1} matrix.
 """
 
 import numpy as np
 from scipy.special import ndtr
 
-from .prng import GOLDEN_GAMMA, derive_seed, splitmix64, stream
+from .prng import GOLDEN_GAMMA, MASK64, derive_seed, splitmix64, stream
 
 SCHEMA_VERSION = 1
+
+
+def _challenge_words(c0, count, stages):
+    """The (count, ceil(stages/64)) uint64 words of c0's sub-challenges.
+
+    Bit k of word j is stage 64j + k; bits past `stages` are left as drawn.
+    Raises ValueError for c0 outside [0, 2^64).
+    """
+    if not 0 <= c0 < 1 << 64:
+        raise ValueError(f"inner challenge c0 must be in [0, 2^64), got {c0}")
+    words_per = -(-stages // 64)
+    idx = np.arange(count * words_per, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        words = splitmix64(np.uint64(c0) + (idx + np.uint64(1)) * np.uint64(GOLDEN_GAMMA))
+    return words.reshape(count, words_per)
+
+
+def _pack_words(bits):
+    """A (N, s) bit batch as (N, ceil(s/64)) uint64 words laid out like _challenge_words."""
+    n, s = bits.shape
+    packed = np.zeros((n, 8 * -(-s // 64)), dtype=np.uint8)
+    packed[:, :-(-s // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _bytes(words):
+    """The little-endian bytes of uint64 words: byte b of a row holds stages 8b..8b+7."""
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+_PREFIX_SHIFTS = tuple(np.uint64(1 << i) for i in range(6))
+
+
+def _suffix_parity(words, stages):
+    """Bit i of the result is the XOR of challenge bits i..stages-1; bits past stages are 0.
+
+    Six shift-XORs give each word its own suffix parity (Warren, Hacker's
+    Delight, 2nd ed., 5-2); each earlier word then flips by the parity of
+    all later words, whose bit 0 holds it.
+    """
+    mask = np.full(words.shape[1], MASK64, dtype=np.uint64)
+    mask[-1:] >>= np.uint64(64 * len(mask) - stages)  # a slice: zero stages have no last word
+    x = words & mask
+    for shift in _PREFIX_SHIFTS:
+        x ^= x >> shift
+    if x.shape[1] > 1:
+        later = np.bitwise_xor.accumulate(x[:, :0:-1] & np.uint64(1), axis=1)[:, ::-1]
+        x[:, :-1] ^= np.uint64(0) - later  # all ones where the later words' parity is 1
+    return x
 
 
 def parity_features(challenges):
@@ -32,11 +90,11 @@ def parity_features(challenges):
     """
     c = np.asarray(challenges)
     single = c.ndim == 1
-    if single:
-        c = c[None, :]
-    signs = (1 - 2 * c.astype(np.int8)).astype(np.float64)
-    phi = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
-    phi = np.concatenate([phi, np.ones((len(phi), 1))], axis=1)
+    c = np.atleast_2d(c)
+    stages = c.shape[1]
+    parity = _bytes(_suffix_parity(_pack_words(c), stages))
+    phi = np.ones((len(c), stages + 1))
+    phi[:, :stages] -= 2.0 * np.unpackbits(parity, axis=1, count=stages, bitorder="little")
     return phi[0] if single else phi
 
 
@@ -47,14 +105,8 @@ def expand_challenge(c0, count, stages=64):
     output sequence seeded by c0, so any party can recompute the expansion.
     Raises ValueError for c0 outside [0, 2^64).
     """
-    if not 0 <= c0 < 1 << 64:
-        raise ValueError(f"inner challenge c0 must be in [0, 2^64), got {c0}")
-    words_per = -(-stages // 64)
-    idx = np.arange(count * words_per, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        words = splitmix64(np.uint64(c0) + (idx + np.uint64(1)) * np.uint64(GOLDEN_GAMMA))
-    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)
-    return bits.astype(np.uint8).reshape(count, words_per * 64)[:, :stages]
+    words = _bytes(_challenge_words(c0, count, stages))
+    return np.unpackbits(words, axis=1, bitorder="little")[:, :stages]
 
 
 class SramPuf:
@@ -102,11 +154,16 @@ class SramPuf:
 
 
 class _DelayPuf:
-    """Read path shared by the arbiter kinds: c0 expands into n_bits sub-challenges."""
+    """Read path shared by the arbiter kinds: c0 expands into n_bits sub-challenges.
+
+    The kinds compute on suffix-parity words (see _suffix_parity), never on
+    float feature matrices.
+    """
 
     def read(self, c0, n_bits, noise_seed=None):
         """n_bits response bits for inner challenge c0; noiseless when noise_seed is None."""
-        return self.eval_bits(expand_challenge(c0, n_bits, self.stages), noise_seed)
+        parity = _suffix_parity(_challenge_words(c0, n_bits, self.stages), self.stages)
+        return self.respond(parity, noise_seed)
 
     def draw_challenge(self, g, n_bits):
         """A random inner challenge from g and the width of its read."""
@@ -117,19 +174,29 @@ class _DelayPuf:
         return self.margins(g.integers(0, 2, (count, self.stages), dtype=np.uint8))
 
     def features(self, challenges):
-        """Parity features of a challenge batch; its width must equal the stage count."""
+        """Suffix-parity words of a challenge batch; its width must equal the stage count."""
         c = np.atleast_2d(np.asarray(challenges))
         if c.shape[1] != self.stages:
             raise ValueError(f"challenge width {c.shape[1]} != stages {self.stages}")
-        return parity_features(c)
+        return _suffix_parity(_pack_words(c), self.stages)
 
     def eval_bits(self, challenges, noise_seed=None):
         """Response bits for a challenge batch; noiseless when noise_seed is None."""
         return self.respond(self.features(challenges), noise_seed)
 
 
+_BYTE_SIGNS = 1.0 - 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                        bitorder="little")  # (256, 8): row v holds 1 - 2*bit_k(v)
+
+
 class ArbiterPuf(_DelayPuf):
-    """Strong PUF: additive delay model with seeded standard-normal weights."""
+    """Strong PUF: additive delay model with seeded standard-normal weights.
+
+    Assigning `weights` rebuilds the per-byte table the margins are read
+    from: entry [b, v] is w[8b:8b+8] . (1 - 2*bits(v)), so a margin is one
+    lookup per byte of suffix parity plus the bias w[stages]. The weights
+    are kept as a read-only copy, so the table cannot go stale in place.
+    """
 
     kind = "arbiter"
 
@@ -143,13 +210,34 @@ class ArbiterPuf(_DelayPuf):
         self.sigma = float(sigma)
         self.weights = stream("arbiter-weights", self.seed).standard_normal(stages + 1)
 
+    @property
+    def weights(self):
+        return self._weights
+
+    @weights.setter
+    def weights(self, weights):
+        weights = np.array(weights, dtype=np.float64)
+        weights.flags.writeable = False
+        if weights.shape != (self.stages + 1,):
+            raise ValueError(f"need {self.stages + 1} weights, got shape {weights.shape}")
+        padded = np.zeros(8 * -(-self.stages // 8))
+        padded[:self.stages] = weights[:self.stages]
+        self._weights = weights
+        self._table = padded.reshape(-1, 8) @ _BYTE_SIGNS.T
+        self._rows = 256 * np.arange(len(self._table))  # flat offset of each byte's row
+
+    def _margin(self, parity):
+        """Noiseless delay differences w . Phi for suffix-parity words."""
+        parity_bytes = _bytes(parity)[:, :len(self._rows)]
+        return self._table.take(parity_bytes + self._rows).sum(axis=1) + self._weights[self.stages]
+
     def margins(self, challenges):
         """Noiseless delay differences w . Phi(c) for a batch of challenges."""
-        return self.features(challenges) @ self.weights
+        return self._margin(self.features(challenges))
 
-    def respond(self, phi, noise_seed=None):
-        """Response bits for parity features phi; noiseless when noise_seed is None."""
-        d = phi @ self.weights
+    def respond(self, parity, noise_seed=None):
+        """Response bits for suffix-parity words; noiseless when noise_seed is None."""
+        d = self._margin(parity)
         if noise_seed is not None and self.sigma > 0:
             d = d + stream("arbiter-noise", self.seed, noise_seed).normal(0.0, self.sigma, len(d))
         return (d > 0).astype(np.uint8)
@@ -180,14 +268,14 @@ class XorArbiterPuf(_DelayPuf):
 
     def margins(self, challenges):
         """Per-chain noiseless margins, stacked as (N, chains)."""
-        phi = self.features(challenges)
-        return np.stack([phi @ chain.weights for chain in self.chains], axis=1)
+        parity = self.features(challenges)
+        return np.stack([chain._margin(parity) for chain in self.chains], axis=1)
 
-    def respond(self, phi, noise_seed=None):
-        """XOR of the chains' bits for features phi; each chain draws its own noise."""
-        acc = np.zeros(len(phi), dtype=np.uint8)
+    def respond(self, parity, noise_seed=None):
+        """XOR of the chains' bits for suffix-parity words; each chain draws its own noise."""
+        acc = np.zeros(len(parity), dtype=np.uint8)
         for chain in self.chains:
-            acc ^= chain.respond(phi, noise_seed)
+            acc ^= chain.respond(parity, noise_seed)
         return acc
 
     def with_sigma(self, sigma):

@@ -297,7 +297,10 @@ def test_bench_command_writes_report(tmp_path, capsys):
     ["bench", "--code", "bch", "--batch-sizes", "1,0", "--repeats", "1"],
     ["bench", "--code", "bch", "--batch-sizes", "1", "--throughput-samples", "0"],
     ["attack", "--train", "200", "--test", "100", "--epochs", "0"],
-], ids=["bench-repeats", "bench-batch-size", "bench-throughput-samples", "attack-epochs"])
+    ["attack", "--train", "200", "--test", "0", "--epochs", "1"],
+    ["attack", "--train", "300", "--test", "-50", "--epochs", "1"],
+], ids=["bench-repeats", "bench-batch-size", "bench-throughput-samples", "attack-epochs",
+        "attack-test", "attack-negative-test"])
 def test_zero_counts_exit_1_without_traceback(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,79 @@ def test_expansion_handles_non_64_stage_widths():
     assert bits.shape == (10, 48)
     bits2 = expand_challenge(1, 3, 100)
     assert bits2.shape == (3, 100)
+
+
+def _cumprod_features(c):
+    """The parity map straight from its definition: a reversed cumulative product of signs."""
+    signs = 1.0 - 2.0 * np.atleast_2d(c).astype(np.float64)
+    phi = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([phi, np.ones((len(phi), 1))], axis=1)
+
+
+@pytest.mark.parametrize("stages", [0, 1, 2, 7, 63, 64, 65, 127, 128, 1024])
+def test_parity_features_match_cumprod_oracle(stages):
+    c = stream("parity-oracle", stages).integers(0, 2, (40, stages), dtype=np.uint8)
+    c[0] = 0
+    c[1] = 1
+    phi = parity_features(c)
+    assert phi.dtype == np.float64 and np.array_equal(phi, _cumprod_features(c))
+    one = parity_features(c[5])
+    assert one.shape == (stages + 1,) and np.array_equal(one, _cumprod_features(c[5])[0])
+
+
+@pytest.mark.parametrize("stages", [1, 7, 48, 63, 65, 100, 129, 1024])
+def test_expand_challenge_matches_shift_and_mask_oracle(stages):
+    c0, count = 0x0123456789ABCDEF, 6
+    words_per = -(-stages // 64)
+    bits = expand_challenge(c0, count, stages)
+    assert bits.shape == (count, stages) and bits.dtype == np.uint8
+    for i in range(count):
+        row = []
+        for j in range(words_per):
+            k = i * words_per + j + 1
+            with np.errstate(over="ignore"):
+                word = int(splitmix64(np.uint64(c0) + np.uint64(k * GOLDEN_GAMMA & (2**64 - 1))))
+            row += [(word >> b) & 1 for b in range(64)]
+        assert list(bits[i]) == row[:stages]
+
+
+def _read_digest():
+    h = hashlib.sha256()
+    for kind, extra in (("arbiter", {}), ("xor", {"chains": 3})):
+        for stages in (1, 63, 64, 65, 1024):
+            puf = new_puf(kind, 1000 + stages, {"stages": stages, "sigma": 0.4, **extra})
+            for n_bits in (127, 2040):
+                for c0 in (0, 1, (1 << 64) - 1, 0x0123456789ABCDEF):
+                    h.update(puf.read(c0, n_bits).tobytes())
+                    h.update(puf.read(c0, n_bits, noise_seed=c0 % 1000 + n_bits).tobytes())
+            c = stream("golden-batch", stages).integers(0, 2, (300, stages), dtype=np.uint8)
+            h.update(puf.eval_bits(c).tobytes())
+            h.update(puf.eval_bits(c, 9).tobytes())
+            h.update(puf.eval_bits(c[:1], 10).tobytes())
+    return h.hexdigest()
+
+
+def test_arbiter_reads_match_the_recorded_digest():
+    """Reference and noisy reads of both arbiter kinds give the bits the float-feature path gave.
+
+    The digest was recorded with the read path that built parity features as
+    a float cumprod and took margins as a dot product with the weights.
+    """
+    assert _read_digest() == "130e161f921345781256829b7cfdf5af51078df83de6054248d2ded4406dfd3e"
+
+
+def test_reassigning_weights_rebuilds_the_margin_table():
+    puf = ArbiterPuf(3, stages=65)
+    c = stream("t", 12).integers(0, 2, (50, 65), dtype=np.uint8)
+    before = puf.margins(c)
+    assert np.allclose(before, _cumprod_features(c) @ puf.weights)
+    puf.weights = -2.0 * puf.weights
+    assert np.allclose(puf.margins(c), -2.0 * before)
+    assert np.array_equal(puf.eval_bits(c), (puf.margins(c) > 0).astype(np.uint8))
+    with pytest.raises(ValueError):
+        puf.weights = np.ones(65)
+    with pytest.raises(ValueError):  # read-only, so the table cannot go stale in place
+        puf.weights[0] = 1.0
 
 
 def test_eval_raw_deterministic_for_same_noise_seed():
