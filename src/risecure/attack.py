@@ -87,6 +87,8 @@ def train_logreg(dataset, epochs=400, learning_rate=1.0, seed=0):
     """Full-batch gradient descent on logistic loss; deterministic from seed."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not 0 < learning_rate < np.inf:
+        raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
     if len(dataset) < 200:
         raise ValueError("need at least 200 records to train")
     y = dataset.responses.astype(np.float64)
@@ -144,14 +146,13 @@ def attack_datasets(seed, count, stages, code):
 
 
 def run_attack(seed=0, train_count=10000, test_count=2000, epochs=400,
-               learning_rate=1.0, stages=64, code=None):
-    """Train and score the attacker in both modes; returns the full report."""
+               learning_rate=1.0, stages=64):
+    """Train and score the attacker in both modes over the BCH code; returns the full report."""
     if train_count < 1 or test_count < 1:
         raise ValueError(f"train and test counts must be >= 1, got {train_count} and {test_count}")
-    if code is None:
-        code = get_code("bch")
     report = {}
-    for mode, data in attack_datasets(seed, train_count + test_count, stages, code).items():
+    datasets = attack_datasets(seed, train_count + test_count, stages, get_code("bch"))
+    for mode, data in datasets.items():
         train = CrpDataset(data.challenges[:train_count], data.responses[:train_count], mode)
         test = CrpDataset(data.challenges[train_count:], data.responses[train_count:], mode)
         model = train_logreg(train, epochs, learning_rate, derive_seed("attack-train", seed))

@@ -12,7 +12,7 @@ first and the message bits on top.
 
 import numpy as np
 
-from .galois import GF2m, SystematicCode
+from .galois import GF2m, SystematicCode, checked_word
 
 
 class BchCode(SystematicCode):
@@ -31,14 +31,14 @@ class BchCode(SystematicCode):
         self.generator = self.generator.astype(np.uint8)
 
     def encode(self, msg_bits) -> np.ndarray:
-        return self._encode_bits(self._word(msg_bits, self.k, np.uint8, "message", "bits"))
+        return self._encode_bits(checked_word(msg_bits, self.k, 1, "message"))
 
     def syndromes(self, rx_bits) -> np.ndarray:
-        return self._syndromes(np.asarray(rx_bits, dtype=np.uint8))
+        return self._syndromes(checked_word(rx_bits, self.n, 1, "received word"))
 
     def decode(self, rx_bits):
         """Correct up to t bit errors; return message bits or None."""
-        return self._correct(self._word(rx_bits, self.n, np.uint8, "received word", "bits"))
+        return self._correct(checked_word(rx_bits, self.n, 1, "received word"))
 
     # its symbols are bits, so the bit contract is the symbol one
     encode_bits = encode

@@ -26,8 +26,13 @@ from .puf import new_puf, puf_from_config, puf_to_config
 HASH = "sha3-256"  # the output hash every system file names; there is no other
 
 
-def _default_seed():
-    return int(os.environ.get("RISECURE_SEED", "0"))
+def _default_seed(parser):
+    """$RISECURE_SEED, or 0 when it is unset; a value that is not an integer is a usage error."""
+    text = os.environ.get("RISECURE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"RISECURE_SEED must be an integer, got {text!r}")
 
 
 def _write_json(path, doc):
@@ -189,7 +194,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="risecure",
                                      description="PUF security-extension simulator")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_default_seed(),
+    common.add_argument("--seed", type=int,
                         help="global seed (default: $RISECURE_SEED or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -259,6 +264,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        args.seed = _default_seed(parser)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

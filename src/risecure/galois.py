@@ -102,6 +102,29 @@ class GF2m:
         return out
 
 
+def checked_word(word, length, width, name) -> np.ndarray:
+    """word as `length` integers in [0, 2^width): uint8 at width 1, else int64.
+
+    Checked before any cast, so a wide or negative value raises ValueError
+    instead of wrapping or indexing past a table, as do a wrong length and
+    a non-integer dtype. Codecs and the hash stage take their inputs
+    through it.
+    """
+    word = np.asarray(word)
+    kind = word.dtype.kind
+    if word.shape != (length,):
+        unit = "bits" if width == 1 else f"{width}-bit symbols"
+        raise ValueError(f"{name} must be {length} {unit}, got shape {word.shape}")
+    if kind not in "biu":
+        raise ValueError(f"{name} must be an integer array, got dtype {word.dtype}")
+    # word[word.argmax()] is word.max() without the Python wrapper around max,
+    # which costs more than the scan on a word this short
+    if kind != "b" and (word[word.argmax()] >> width or kind == "i" and word[word.argmin()] < 0):
+        raise ValueError(f"{name} values must be in [0, {1 << width}), "
+                         f"got [{word.min()}, {word.max()}]")
+    return word.astype(np.uint8 if width == 1 else np.int64, copy=False)
+
+
 def berlekamp_massey(field: GF2m, syndromes):
     """Find the shortest LFSR (error locator) generating the syndrome sequence.
 
@@ -155,7 +178,7 @@ class SystematicCode:
     each symbol takes s bits, most significant first. A codec names its
     `family`, passes its field, t and symbol width s to __init__, and
     defines its public symbol-level encode, syndromes and decode on the
-    underscore helpers.
+    underscore helpers, taking each word through `checked_word`.
     """
 
     family = None  # "bch" or "rs": the first part of code_id
@@ -212,13 +235,6 @@ class SystematicCode:
     def k_bits(self) -> int:
         return self.k * self.s
 
-    def _word(self, word, length, dtype, name, unit) -> np.ndarray:
-        """word as a numpy array of `length` entries, else ValueError."""
-        word = np.asarray(word, dtype=dtype)
-        if word.shape != (length,):
-            raise ValueError(f"{name} must be {length} {unit}, got {word.shape}")
-        return word
-
     def _bits(self, syms) -> np.ndarray:
         """Symbols to s bits each, most significant first, along the last axis."""
         syms = np.asarray(syms, dtype=np.int64)
@@ -237,11 +253,11 @@ class SystematicCode:
 
     def encode_bits(self, msg_bits) -> np.ndarray:
         """Codeword bits for a k_bits message; bits map to symbols MSB first."""
-        return self._encode_bits(self._word(msg_bits, self.k_bits, np.uint8, "message", "bits"))
+        return self._encode_bits(checked_word(msg_bits, self.k_bits, 1, "message"))
 
     def decode_bits(self, rx_bits):
         """Message bits of the codeword within t symbols of rx_bits, or None."""
-        bits = self._word(rx_bits, self.n_bits, np.uint8, "received word", "bits")
+        bits = checked_word(rx_bits, self.n_bits, 1, "received word")
         msg = self.decode(self._symbols(bits))
         if msg is None:
             return None

@@ -4,12 +4,15 @@ SHA3-256 is the only output hash, as in the paper's hardware.
 
 Widths are rigid on purpose. R2 must be exactly the code length and the
 outer challenge C exactly 128 bits, so no length-extension or padding games
-are possible; any deviation raises instead of truncating or padding.
+are possible; any deviation, or a bit other than 0 or 1, raises instead of
+truncating, padding or packing two inputs to one digest.
 """
 
 import hashlib
 
 import numpy as np
+
+from .galois import checked_word
 
 OUTER_CHALLENGE_BITS = 128
 DIGEST_BITS = 256
@@ -21,22 +24,16 @@ def bits_to_bytes(bits):
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
-def bytes_to_bits(data, n_bits=None):
-    bits = np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
-    return bits if n_bits is None else bits[:n_bits]
+def bytes_to_bits(data):
+    """Unpack bytes to a bit vector, most significant bit first per byte."""
+    return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
 
 
 def compose_response(r2_bits, c_bits, n_code):
-    """R3 = SHA3-256(R2 || C) as a 256-bit vector; widths checked exactly."""
-    r2 = np.asarray(r2_bits, dtype=np.uint8)
-    c = np.asarray(c_bits, dtype=np.uint8)
-    if r2.shape != (n_code,):
-        raise ValueError(f"R2 must be exactly {n_code} bits, got shape {r2.shape}")
-    if c.shape != (OUTER_CHALLENGE_BITS,):
-        raise ValueError(f"outer challenge must be exactly {OUTER_CHALLENGE_BITS} bits, got shape {c.shape}")
+    """R3 = SHA3-256(R2 || C) as a 256-bit vector; widths and bit values checked exactly."""
     h = hashlib.sha3_256()
-    h.update(bits_to_bytes(r2))
-    h.update(bits_to_bytes(c))
+    h.update(bits_to_bytes(checked_word(r2_bits, n_code, 1, "R2")))
+    h.update(bits_to_bytes(checked_word(c_bits, OUTER_CHALLENGE_BITS, 1, "outer challenge")))
     return bytes_to_bits(h.digest())
 
 

@@ -24,12 +24,15 @@ built on a read. ``parity_features`` unpacks the same words for callers
 that need the {-1,+1} matrix.
 """
 
+import math
+
 import numpy as np
-from scipy.special import ndtr
 
 from .prng import GOLDEN_GAMMA, MASK64, derive_seed, splitmix64, stream
 
 SCHEMA_VERSION = 1
+TRIAL_BITS = 127  # bits per arbiter read in reliability trials and calibration samples
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _challenge_words(c0, count, stages):
@@ -203,8 +206,8 @@ class ArbiterPuf(_DelayPuf):
     def __init__(self, seed, stages=64, sigma=0.0):
         if not 1 <= stages <= 1024:  # bounds the stages+1 weights a config can allocate
             raise ValueError(f"stage count must be in [1, 1024], got {stages}")
-        if sigma < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {sigma}")
+        if not 0 <= sigma < math.inf:  # also rejects NaN, which would read noise-free
+            raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
         self.seed = int(seed)
         self.stages = int(stages)
         self.sigma = float(sigma)
@@ -324,12 +327,12 @@ def reference_response(puf, c0, n_bits):
     return puf.read(c0, n_bits)
 
 
-def measure_reliability(puf, trials, seed, n_bits=127):
+def measure_reliability(puf, trials, seed):
     """Fraction of read bits agreeing with the reference across fresh reads.
 
     Each trial draws a random inner challenge, performs one noisy read
-    (n_bits wide, or one block for SRAM) and compares it to the noiseless
-    reference.
+    (TRIAL_BITS wide, or one block for SRAM) and compares it to the
+    noiseless reference.
     """
     if trials < 1000:
         raise ValueError("reliability estimates need at least 1000 trials")
@@ -337,7 +340,7 @@ def measure_reliability(puf, trials, seed, n_bits=127):
     agree = 0
     total = 0
     for t in range(trials):
-        c0, width = puf.draw_challenge(g, n_bits)
+        c0, width = puf.draw_challenge(g, TRIAL_BITS)
         ref = puf.read(c0, width)
         got = puf.read(c0, width, derive_seed("reliability-read", seed, t))
         agree += int(np.sum(ref == got))
@@ -345,43 +348,56 @@ def measure_reliability(puf, trials, seed, n_bits=127):
     return agree / total
 
 
-def _expected_reliability(puf, sigma, margins):
+def _flip_probability(x):
+    """1 - Phi(x) for x >= 0, with Phi(x) = 1 - erfc(x / sqrt 2) / 2 rounded to a double.
+
+    Rounding Phi first, as a normal-CDF routine does, makes q exactly 0 from
+    x = 8.2924 on. Scalar erfc costs about 3x a vectorised CDF per element, so
+    it runs only where x < 9 (a few percent of margins at a calibrated sigma).
+    """
+    q = np.zeros_like(x)
+    near = x < 9.0
+    q[near] = 1.0 - (1.0 - 0.5 * _ERFC(x[near] * math.sqrt(0.5)).astype(float))
+    return q
+
+
+def _expected_reliability(sigma, margins):
     """Semi-analytic per-challenge agreement probability, averaged.
 
     For one arbiter chain the flip probability at margin d is
-    P(sign flips) = 1 - ndtr(|d| / sigma); a XOR of k chains reproduces its
-    reference bit exactly when an even number of chains flip, which has
-    probability (1 + prod_k (1 - 2 q_k)) / 2.
+    q = 1 - Phi(|d| / sigma) (see _flip_probability); a XOR of k chains
+    reproduces its reference bit exactly when an even number of chains
+    flip, which has probability (1 + prod_k (1 - 2 q_k)) / 2.
     """
     if sigma == 0:
         return 1.0
-    q = 1.0 - ndtr(np.abs(margins) / sigma)
+    q = _flip_probability(np.abs(margins) / sigma)
     if margins.ndim == 1:
         return float(np.mean(1.0 - q))
     return float(np.mean((1.0 + np.prod(1.0 - 2.0 * q, axis=1)) / 2.0))
 
 
-def calibrate_sigma(puf, target_reliability, trials=1000, seed=0, n_bits=127):
+def calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
     """Find sigma so the puf's measured reliability hits the target.
 
     Bisection over sigma against the expected reliability evaluated on a
-    Monte-Carlo challenge sample of trials * n_bits bits. Requires
+    Monte-Carlo challenge sample of trials * TRIAL_BITS bits. Requires
     0.5 < target <= 1; noise can only pull reliability down toward 1/2.
     """
     if not 0.5 < target_reliability <= 1.0:
         raise ValueError(f"target reliability must be in (0.5, 1], got {target_reliability}")
     if target_reliability == 1.0:
         return 0.0
-    margins = puf.sample_margins(stream("calibration-challenges", seed), trials * n_bits)
+    margins = puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS)
 
     lo, hi = 0.0, 1.0
-    while _expected_reliability(puf, hi, margins) > target_reliability:
+    while _expected_reliability(hi, margins) > target_reliability:
         hi *= 2.0
         if hi > 1e6:
             raise ValueError(f"target reliability {target_reliability} unreachable")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _expected_reliability(puf, mid, margins) > target_reliability:
+        if _expected_reliability(mid, margins) > target_reliability:
             lo = mid
         else:
             hi = mid

@@ -13,7 +13,7 @@ as the binary BCH code.
 
 import numpy as np
 
-from .galois import GF2m, SystematicCode
+from .galois import GF2m, SystematicCode, checked_word
 
 
 class ReedSolomonCode(SystematicCode):
@@ -26,12 +26,12 @@ class ReedSolomonCode(SystematicCode):
 
     def encode(self, msg_syms) -> np.ndarray:
         """Systematic encode: returns [2t parity symbols, k message symbols]."""
-        msg = self._word(msg_syms, self.k, np.int64, "message", "symbols")
+        msg = checked_word(msg_syms, self.k, self.s, "message")
         return self._symbols(self._encode_bits(self._bits(msg)))
 
     def syndromes(self, rx_syms) -> np.ndarray:
-        return self._syndromes(np.asarray(rx_syms, dtype=np.int64))
+        return self._syndromes(checked_word(rx_syms, self.n, self.s, "received word"))
 
     def decode(self, rx_syms):
         """Correct up to t symbol errors; return message symbols or None."""
-        return self._correct(self._word(rx_syms, self.n, np.int64, "received word", "symbols"))
+        return self._correct(checked_word(rx_syms, self.n, self.s, "received word"))

@@ -307,6 +307,42 @@ def test_zero_counts_exit_1_without_traceback(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_non_integer_seed_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RISECURE_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "risecure: error: RISECURE_SEED must be an integer, got 'abc'"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["puf", "new", "--kind", "xor", "--sigma", "inf"],
+    ["puf", "new", "--kind", "arbiter", "--sigma", "nan"],
+    ["attack", "--train", "200", "--test", "100", "--epochs", "1", "--lr", "inf"],
+    ["attack", "--train", "200", "--test", "100", "--epochs", "1", "--lr", "nan"],
+    ["attack", "--train", "200", "--test", "100", "--epochs", "1", "--lr", "0"],
+], ids=["xor-sigma-inf", "arbiter-sigma-nan", "attack-lr-inf",
+        "attack-lr-nan", "attack-lr-zero"])
+def test_non_finite_or_non_positive_floats_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_system_file_with_infinite_sigma_exits_1(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text('{"version": 1, "kind": "xor", "seed": 3, "code": "bch", '
+                    '"params": {"stages": 64, "chains": 4, "sigma": Infinity}}')
+    rc = main(["sample", "--system", str(path), "--c0", "1", "--mode", "raw"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and "Traceback" not in captured.err
+    assert "error: noise sigma must be finite" in captured.err
+
+
 def test_selftest_command(capsys, request):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

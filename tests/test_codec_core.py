@@ -15,6 +15,8 @@ import pytest
 
 from risecure.bch import BchCode
 from risecure.galois import GF2m
+from risecure.hashing import OUTER_CHALLENGE_BITS, compose_response
+from risecure.prng import stream
 from risecure.reed_solomon import ReedSolomonCode
 
 
@@ -135,3 +137,65 @@ def _outcome_digest(code, weights, symbol_max, per_weight, seed):
 def test_full_size_decode_outcomes_are_pinned(code, symbol_max, digest):
     weights = range(code.t - 2, code.t + 6)
     assert _outcome_digest(code, weights, symbol_max, 40, seed=13) == digest
+
+
+def _word_with(n, index, value, dtype=np.int64):
+    """n zeros of dtype with `value` at `index`."""
+    word = np.zeros(n, dtype=dtype)
+    word[index] = value
+    return word
+
+
+BCH, RS = BchCode(), ReedSolomonCode()
+
+
+# Each input is checked for its length and its value range [0, 2^width)
+# before any cast: none may index past a table, wrap, or share a digest.
+@pytest.mark.parametrize("call", [
+    lambda: RS.decode(_word_with(255, 7, 256)),
+    lambda: RS.decode(_word_with(255, 7, -1)),
+    lambda: RS.decode_bits(_word_with(2040, 5, 2, np.uint8)),
+    lambda: RS.syndromes(_word_with(255, 0, 300)),
+    lambda: RS.encode(_word_with(223, 0, 256)),
+    lambda: BCH.syndromes(np.zeros(200, np.uint8)),
+    lambda: BCH.syndromes(np.zeros(100, np.uint8)),
+    lambda: BCH.decode(_word_with(127, 9, 256)),
+    lambda: BCH.encode_bits(np.zeros(36)),
+    lambda: compose_response(np.full(127, 2), np.zeros(OUTER_CHALLENGE_BITS, np.uint8), 127),
+    lambda: compose_response(np.zeros(127, np.uint8), _word_with(OUTER_CHALLENGE_BITS, 0, 2), 127),
+], ids=["rs-decode-256", "rs-decode-negative", "rs-decode-bits-2", "rs-syndromes-300",
+        "rs-encode-256", "bch-syndromes-200-bits", "bch-syndromes-100-bits",
+        "bch-decode-int64-256", "bch-encode-float", "hash-r2-of-2s", "hash-outer-2"])
+def test_out_of_range_codec_and_hash_inputs_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# Outcomes of CENSUS_WORDS seeded words at each weight t+1 .. t+5, as
+# {weight: (failures, miscorrections)}. Beyond t the sent message is out of
+# reach of a bounded-distance decoder, so any message it returns is a
+# miscorrection. The expected miscorrection rates (McEliece & Swanson, IEEE
+# Trans. IT 32(5), 1986) are about 2^36 V(127,15) / 2^127 = 5e-9 for BCH and
+# 1/16! = 5e-14 for RS, so a few hundred words should all fail.
+CENSUS_WORDS = 200
+
+
+@pytest.mark.parametrize("code,symbol_max,census", [
+    (BCH, 1, {16: (200, 0), 17: (200, 0), 18: (200, 0), 19: (200, 0), 20: (200, 0)}),
+    (RS, 255, {17: (200, 0), 18: (200, 0), 19: (200, 0), 20: (200, 0), 21: (200, 0)}),
+], ids=["bch-127-36-15", "rs-255-223-16"])
+def test_failure_census_beyond_t(code, symbol_max, census):
+    got = {}
+    for weight in range(code.t + 1, code.t + 6):
+        rng = stream("census-" + code.family, weight)
+        failures = miscorrections = 0
+        for _ in range(CENSUS_WORDS):
+            msg = rng.integers(0, symbol_max + 1, code.k)
+            out = code.decode(_corrupt(code, code.encode(msg), weight, rng, symbol_max))
+            if out is None:
+                failures += 1
+            else:
+                assert not np.array_equal(out, msg)  # the nearest codeword is another one
+                miscorrections += 1
+        got[weight] = (failures, miscorrections)
+    assert got == census

@@ -1,11 +1,14 @@
 import hashlib
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from risecure.prng import GOLDEN_GAMMA, splitmix64, stream
-from risecure.puf import (ArbiterPuf, SramPuf, XorArbiterPuf, calibrate_sigma,
-                          eval_raw, expand_challenge,
+from risecure.prng import GOLDEN_GAMMA, derive_seed, splitmix64, stream
+from risecure.puf import (ArbiterPuf, SramPuf, XorArbiterPuf, _flip_probability,
+                          calibrate_sigma, eval_raw, expand_challenge,
                           measure_reliability, new_puf, parity_features,
                           puf_from_config, puf_to_config, reference_response)
 
@@ -38,8 +41,10 @@ def test_parity_features_last_stage_flip_negates_all_but_bias():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         new_puf("sram", 1, {"p": 0.6})
-    with pytest.raises(ValueError):
-        new_puf("arbiter", 1, {"sigma": -0.1})
+    for kind in ("arbiter", "xor"):
+        for sigma in (-0.1, math.inf, math.nan):  # NaN would read noise-free
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                new_puf(kind, 1, {"sigma": sigma})
     with pytest.raises(ValueError):
         new_puf("arbiter", 1, {"stages": 0})
     with pytest.raises(ValueError):
@@ -270,6 +275,58 @@ def test_calibrate_sigma_hits_xor_target():
     sigma = calibrate_sigma(base, target, trials=400, seed=7)
     measured = measure_reliability(base.with_sigma(sigma), 1000, seed=8)
     assert abs(measured - target) < 0.002
+
+
+# name -> (PUF for a seed, target reliability, trials): the benchmark set-ups
+# (perfbench/workloads.py), the bench command's PUF and acceptance criterion 3
+CALIBRATIONS = {
+    "perfbench-arbiter": (lambda seed: ArbiterPuf(derive_seed("perfbench-arbiter", seed)),
+                          0.9976, 100),
+    "perfbench-xor": (lambda seed: XorArbiterPuf(derive_seed("perfbench-xor", seed, 0)),
+                      0.9952, 100),
+    "bench-puf": (lambda seed: ArbiterPuf(derive_seed("bench-puf", seed)), 0.9976, 100),
+    "criterion-3-arbiter": (lambda seed: ArbiterPuf(101), 0.9976, 1000),
+    "criterion-3-xor": (lambda seed: XorArbiterPuf(202, chains=4), 0.9952, 1000),
+}
+
+
+# calibrate_sigma's results when its normal tail came from scipy.special.ndtr (commit a5b4eb1)
+@pytest.mark.parametrize("name,seed,want", [
+    ("perfbench-arbiter", 1, 0.07406320818637752),
+    ("perfbench-xor", 1, 0.03185128087352365),
+    ("bench-puf", 1, 0.06759881215672986),
+    ("perfbench-arbiter", 20261017, 0.06315968653424689),
+    ("perfbench-xor", 20261017, 0.031872527783463195),
+    ("bench-puf", 20261017, 0.06960451755151037),
+    ("criterion-3-arbiter", 7, 0.052368426762761294),
+    ("criterion-3-xor", 7, 0.029822042966061266),
+])
+def test_calibrated_sigma_is_pinned(name, seed, want):
+    make, target, trials = CALIBRATIONS[name]
+    sigma = calibrate_sigma(make(seed), target, trials=trials, seed=seed)
+    assert sigma == pytest.approx(want, rel=1e-14)
+
+
+def test_flip_probability_matches_scalar_erfc_and_is_zero_past_the_cut():
+    def scalar(x):  # 1 - Phi(x), Phi rounded to a double first
+        return 1.0 - (1.0 - 0.5 * math.erfc(x * math.sqrt(0.5)))
+
+    near = np.array([0.0, 1e-9, 0.3, 0.7071, 1.0, 1.5, 2.0, 3.3, 5.0, 8.0, 8.2923, 8.2925,
+                     8.5, 8.999, np.nextafter(9.0, 0.0)])
+    assert _flip_probability(near).tolist() == [scalar(x) for x in near]
+    assert _flip_probability(np.array([0.0]))[0] == 0.5
+    far = np.concatenate([np.linspace(9.0, 60.0, 10_001), [1e3, 1e300, np.inf]])
+    assert not _flip_probability(far).any()
+    # the cut changes no value: the scalar tail is already 0 from 8.2924 on
+    assert not any(scalar(x) for x in np.linspace(8.2925, 9.0, 1001))
+
+
+def test_package_imports_without_scipy():
+    code = ("import sys, risecure, risecure.cli, risecure.bench, risecure.attack, risecure.selftest\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_config_roundtrip():

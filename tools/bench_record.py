@@ -2,28 +2,53 @@
 
     python3 tools/bench_record.py N
 
-Runs `perfbench/run.py --workload all` from this checkout twice, at seed 1
-and the run length BENCHMARK.json fixes: `--trace 0` for the end-to-end
-metrics and `--trace 1` for the per-layer metrics. It then gathers the
-result files those runs wrote under .perfbench/ into one schema-versioned
-file with the host (Python, numpy, cores) and the git commit. A commit's
-file is comparable with another's only when both were made on the same host.
+Runs `perfbench/run.py --workload all` from this checkout at seed 1 and the
+run length BENCHMARK.json fixes: RUNS times with `--trace 0` for the
+end-to-end metrics, each recorded as the median of those runs with their
+min and max, and once with `--trace 1` for the per-layer metrics. It then
+writes one schema-versioned file with the host (Python, numpy, cores) and
+the git commit. A commit's file is comparable with another's only when
+both were made on the same host.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SEED = 1
+RUNS = 3  # untraced runs per workload; one run moves with the host's state
 
 
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def run_pass(names, seconds, trace):
+    """One `--workload all` run; returns each workload's result file."""
+    files = {name: ROOT / ".perfbench" / f"{name}-seed{SEED}-trace{trace}.json" for name in names}
+    for path in files.values():  # a stale file must not stand in for a failed run
+        path.unlink(missing_ok=True)
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+    if subprocess.run(cmd, cwd=ROOT, check=False).returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd[1:])} failed; no BENCH file written")
+    return {name: json.loads(path.read_text()) for name, path in files.items()}
+
+
+def spread(runs):
+    """Each end-to-end metric of the untraced runs as its median, min and max."""
+    out = {}
+    for key, metric in runs[0]["metrics"].items():
+        values = [r["metrics"][key]["value"] for r in runs]
+        out[key] = {"value": statistics.median(values), "min": min(values), "max": max(values),
+                    "unit": metric["unit"]}
+    return out
 
 
 def main(argv=None):
@@ -35,31 +60,24 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     names = [w["name"] for w in bench["workloads"]]
-    files = {(name, trace): ROOT / ".perfbench" / f"{name}-seed{SEED}-trace{trace}.json"
-             for name in names for trace in (0, 1)}
-    for path in files.values():  # a stale file must not stand in for a failed run
-        path.unlink(missing_ok=True)
-
-    for trace in (0, 1):
-        cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
-               "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
-        if subprocess.run(cmd, cwd=ROOT, check=False).returncode != 0:
-            raise SystemExit(f"error: {' '.join(cmd[1:])} failed; no BENCH file written")
+    untraced = [run_pass(names, seconds, 0) for _ in range(RUNS)]
+    traced = run_pass(names, seconds, 1)
 
     workloads = {}
     for name in names:
-        e2e, layers = (json.loads(files[name, trace].read_text()) for trace in (0, 1))
+        runs, layers = [u[name] for u in untraced], traced[name]
+        same_bits = len({r["output_digest"] for r in runs}) == 1  # one seed, one digest
         workloads[name] = {
-            "correct": e2e["correct"] and layers["correct"],
-            "attempted": e2e["attempted"],
-            "failed": e2e["failed"],
-            "output_digest": e2e["output_digest"],
-            "end_to_end": e2e["metrics"],
+            "correct": all(r["correct"] for r in runs) and layers["correct"] and same_bits,
+            "attempted": [r["attempted"] for r in runs],
+            "failed": [r["failed"] for r in runs],
+            "output_digest": runs[0]["output_digest"],
+            "end_to_end": spread(runs),
             "per_layer": layers["metrics"],
             "missing_spans": layers["missing_spans"],
         }
     # Python, numpy, BLAS, cores (nproc) and machine, as the benchmark read them
-    host = json.loads(files[names[0], 0].read_text())["host"]
+    host = untraced[0][names[0]]["host"]
     del host["git_commit"]  # read from .git by the benchmark; recorded below through git
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -70,6 +88,7 @@ def main(argv=None):
         "host": host,
         "seed": SEED,
         "seconds": seconds,
+        "runs": RUNS,
         "workloads": workloads,
     }
     out = ROOT / f"BENCH_{args.n}.json"
