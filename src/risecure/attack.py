@@ -138,10 +138,11 @@ def read_csv(path, mode, width):
                       np.array(responses, dtype=np.uint8), mode)
 
 
-def attack_datasets(seed, count, stages, code):
+def attack_datasets(seed, count, stages):
     """Per-mode datasets of `count` records from one noiseless arbiter; only the hash differs."""
     puf = ArbiterPuf(derive_seed("attack-puf", seed), stages=stages, sigma=0.0)
-    return {mode: generate_crps(puf, mode, count, derive_seed("attack-data", seed, i), code=code)
+    return {mode: generate_crps(puf, mode, count, derive_seed("attack-data", seed, i),
+                                code=get_code("bch"))
             for i, mode in enumerate(MODES)}
 
 
@@ -151,7 +152,7 @@ def run_attack(seed=0, train_count=10000, test_count=2000, epochs=400,
     if train_count < 1 or test_count < 1:
         raise ValueError(f"train and test counts must be >= 1, got {train_count} and {test_count}")
     report = {}
-    datasets = attack_datasets(seed, train_count + test_count, stages, get_code("bch"))
+    datasets = attack_datasets(seed, train_count + test_count, stages)
     for mode, data in datasets.items():
         train = CrpDataset(data.challenges[:train_count], data.responses[:train_count], mode)
         test = CrpDataset(data.challenges[train_count:], data.responses[train_count:], mode)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .attack import attack_datasets, run_attack, write_csv
-from .bench import run_batch_bench, run_throughput_bench
+from .bench import PASSES, run_batch_bench, run_throughput_bench
 from .buffer import select_output
 from .extractor import HelperData, enroll, get_code
 from .hashing import bits_to_bytes, bytes_to_bits
@@ -119,8 +119,7 @@ def cmd_bench(args):
     batch_sizes = tuple(int(b) for b in args.batch_sizes.split(","))
     report = {
         "batch": run_batch_bench(args.code, batch_sizes, repeats=args.repeats,
-                                 seed=args.seed, capacity=args.capacity,
-                                 distinct_keys=args.distinct_keys),
+                                 seed=args.seed, distinct_keys=args.distinct_keys),
         "throughput": run_throughput_bench(args.code, samples=args.throughput_samples,
                                            seed=args.seed),
     }
@@ -155,7 +154,7 @@ def cmd_attack(args):
         print(f"wrote {args.output}")
     if args.crps_out:
         os.makedirs(args.crps_out, exist_ok=True)
-        datasets = attack_datasets(args.seed, args.train + args.test, args.stages, get_code("bch"))
+        datasets = attack_datasets(args.seed, args.train + args.test, args.stages)
         for mode, ds in datasets.items():
             write_csv(ds, os.path.join(args.crps_out, f"{mode}.csv"))
         print(f"wrote CRP datasets under {args.crps_out}")
@@ -230,8 +229,7 @@ def build_parser():
     p_bench = sub.add_parser("bench", parents=[common], help="batch and throughput benchmarks")
     p_bench.add_argument("--code", choices=("bch", "rs"), default="rs")
     p_bench.add_argument("--batch-sizes", default="1,2,4,8,16")
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--capacity", type=int, default=16)
+    p_bench.add_argument("--repeats", type=int, default=PASSES)
     p_bench.add_argument("--distinct-keys", action="store_true")
     p_bench.add_argument("--throughput-samples", type=int, default=200)
     p_bench.add_argument("-o", "--output")

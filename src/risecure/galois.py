@@ -302,6 +302,6 @@ class SystematicCode:
             return None
         fixed = rx.copy()
         fixed[pos] ^= mag.astype(rx.dtype)
-        if self.syndromes(fixed).any():
+        if self._syndromes(fixed).any():
             return None
         return fixed[self.n - self.k :]

@@ -243,6 +243,8 @@ class PufDevice:
 
 class MachineState:
     def __init__(self, memory_size=1 << 20, device=None):
+        if not 0 <= memory_size <= 1 << 32:  # addresses wrap at 2^32, so more is unreachable
+            raise ValueError(f"memory_size must be in [0, 2^32], got {memory_size}")
         self.regs = [0] * 32
         self.pc = 0
         self.memory = bytearray(memory_size)

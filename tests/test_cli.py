@@ -8,6 +8,8 @@ import pytest
 from risecure.cli import main
 from risecure.extractor import HelperData, enroll, get_code
 from risecure.hashing import bits_to_bytes, bytes_to_bits, compose_response
+from risecure.isa import (MachineState, PufDevice, asm_ebreak, asm_inner_puf_init,
+                          asm_outer_puf_chal, li32, run)
 from risecure.prng import derive_seed
 from risecure.puf import eval_raw, puf_from_config
 
@@ -256,6 +258,62 @@ def test_exec_program_larger_than_memory_exits_1(tmp_path, capsys):
     rc = main(["exec", "--program", str(prog), "--mem-size", "2"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == "" and "error: program does not fit" in captured.err
+
+
+@pytest.mark.parametrize("size", [str((1 << 32) + 1), "-1"])
+def test_exec_memory_beyond_the_address_space_exits_1(tmp_path, capsys, size):
+    prog = tmp_path / "prog.hex"
+    prog.write_text("0: 00100073\n")
+    rc = main(["exec", "--program", str(prog), "--mem-size", size])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: memory_size must be in [0, 2^32], got {size}\n"
+
+
+def _hex_words(base, words):
+    return "".join(f"{base + 4 * i:x}: {w:08x}\n" for i, w in enumerate(words))
+
+
+def test_exec_with_a_system_runs_both_custom_instructions(tmp_path, capsys):
+    system = _new_system(tmp_path)
+    capsys.readouterr()
+    init_block = (3).to_bytes(4, "little") + (7).to_bytes(8, "little")
+    chal_block = (3).to_bytes(4, "little") + bytes(range(16))
+    text = (_hex_words(0, [*li32(5, 0x200), asm_inner_puf_init(10, 5),
+                           *li32(6, 0x220), *li32(7, 0x300),
+                           asm_outer_puf_chal(11, 6, 7), asm_ebreak()])
+            + _hex_words(0x200, np.frombuffer(init_block, "<u4"))
+            + _hex_words(0x220, np.frombuffer(chal_block, "<u4")))
+    prog = tmp_path / "puf.hex"
+    prog.write_text(text)
+    rc = main(["exec", "--program", str(prog), "--system", str(system), "--idx", "3",
+               "--seed", "4", "--mem-size", "4096"])
+    dump = json.loads(capsys.readouterr().out)
+    assert rc == 0 and dump["status"] == "halted"
+    assert dump["regs"][10] == 0 and dump["regs"][11] == 0
+
+    _, puf = _load_puf(system)
+    dev = PufDevice(get_code("bch"), seed=4, capacity=16)
+    dev.register(3, puf)
+    replay = MachineState(memory_size=4096, device=dev)
+    replay.load_hex_program(text)
+    assert run(replay) == "halted"
+    assert dump == replay.dump()
+
+
+def test_sample_reconstruction_failure_exits_1(tmp_path, capsys):
+    system = tmp_path / "noisy.json"
+    cfg = json.loads(_new_system(tmp_path).read_text())
+    cfg["params"]["p"] = 0.45  # puf new refuses a p this high
+    system.write_text(json.dumps(cfg))
+    helper = tmp_path / "helper.json"
+    assert main(["enroll", "--system", str(system), "--c0", "1", "-o", str(helper)]) == 0
+    capsys.readouterr()
+    rc = main(["sample", "--system", str(system), "--c0", "1", "--helper", str(helper),
+               "--mode", "corrected"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "reconstruction failed" in captured.err
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -199,3 +199,16 @@ def test_failure_census_beyond_t(code, symbol_max, census):
                 miscorrections += 1
         got[weight] = (failures, miscorrections)
     assert got == census
+
+
+@pytest.mark.parametrize("code,symbol_max", [(BCH, 1), (RS, 255)],
+                         ids=["bch-127-36-15", "rs-255-223-16"])
+@pytest.mark.parametrize("weight", [0, 3], ids=["clean", "errored"])
+def test_one_public_syndrome_call_per_decode(code, symbol_max, weight, monkeypatch):
+    calls = []
+    public = code.syndromes
+    monkeypatch.setattr(code, "syndromes", lambda rx: calls.append(1) or public(rx))
+    rng = stream("syndrome-calls", weight)
+    msg = rng.integers(0, symbol_max + 1, code.k)
+    out = code.decode(_corrupt(code, code.encode(msg), weight, rng, symbol_max))
+    assert np.array_equal(out, msg) and len(calls) == 1

@@ -468,6 +468,16 @@ def test_memory_fault_reports_status_2_without_side_effects():
     assert st.regs[11] == 2 and dev.read_count == before
 
 
+def test_chal_block_crossing_memory_end_reports_status_2_without_a_read():
+    st, dev = _machine_with_device(mem=4096)
+    dev.enroll_idx(3, 7)
+    st.load_words(0, [*li32(6, 4090),  # 20-byte block would cross the end
+                      *li32(7, 0x300), asm_outer_puf_chal(11, 6, 7), asm_ebreak()])
+    assert run(st) == "halted"
+    assert st.regs[11] == 2 and dev.read_count == 0
+    assert st.mem_read(0x300, 32) == bytes(32)
+
+
 def test_width_mismatch_reports_status_3():
     dev = PufDevice(get_code("bch"), seed=1)
     dev.register(3, SramPuf(5, block_bits=64))  # 64-bit blocks vs n=127 code
