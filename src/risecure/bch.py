@@ -1,13 +1,13 @@
 """Binary BCH codec: a parameter set of the systematic-code family.
 
 The default instance is the (127, 36) code correcting t=15 bit errors,
-constructed over GF(2^7) with primitive polynomial x^7 + x^3 + 1. The codec
-is the family `galois.SystematicCode` at a symbol width of 1 bit: the core
-derives the generator from the roots alpha^1..alpha^2t and their 2-cyclotomic
-conjugates, and its Forney step rejects any magnitude other than 1. Bit
-vectors are numpy uint8 arrays in ascending-power order: ``word[i]`` is the
-coefficient of x^i, so a systematic codeword carries its n-k parity bits
-first and the message bits on top.
+constructed over GF(2^7) with primitive polynomial x^7 + x^3 + 1. The codec is
+the family `galois.SystematicCode` at a symbol width of 1 bit: the core derives
+the generator from the roots alpha^1..alpha^2t and their 2-cyclotomic
+conjugates; every error magnitude of a binary code is 1, so its decoder flips
+the located bits with no Forney step. Bit vectors are numpy uint8 arrays in
+ascending-power order: ``word[i]`` is the coefficient of x^i, so a systematic
+codeword carries its n-k parity bits first and the message bits on top.
 """
 
 import numpy as np

@@ -42,10 +42,7 @@ class LookasideBuffer:
 
     def insert(self, key, entry):
         """Add or replace an entry; evicts the oldest when over capacity."""
-        if key in self.entries:
-            self.entries[key] = entry  # replace in place, keep position
-            return
-        self.entries[key] = entry
+        self.entries[key] = entry  # a replaced key keeps its position
         if len(self.entries) > self.capacity:
             self.entries.popitem(last=False)
             self.evictions += 1
@@ -64,9 +61,9 @@ def sample_with_buffer(buf, puf, key, helper, code, mode="corrected",
     """Buffered sampling: serve R2 from cache, reconstruct only on a miss.
 
     `key` is (puf_id, c0); only its challenge half feeds the PUF. Returns R2
-    (mode 'corrected') or R3 (mode 'hashed'); a failed reconstruction
-    returns None and is never cached. When `buf` is None, every call runs a
-    full reconstruction, which is the unbuffered baseline. Raises ValueError
+    (mode 'corrected'; read-only once cached) or R3 (mode 'hashed'); a failed
+    reconstruction returns None and is never cached. When `buf` is None, a
+    call runs a full reconstruction: the unbuffered baseline. Raises ValueError
     when `helper` is missing or was enrolled on another code than `code`.
     """
     if mode not in ("corrected", "hashed"):
@@ -85,6 +82,7 @@ def sample_with_buffer(buf, puf, key, helper, code, mode="corrected",
         if r2 is None:
             return None
         if buf is not None:
+            r2.flags.writeable = False  # a hit hands out this array again
             buf.insert(key, (r2, helper))
     if mode == "corrected":
         return r2

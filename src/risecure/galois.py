@@ -13,9 +13,9 @@ product of (x - alpha^e) over e = 1..2t, closed under e -> e*2^s mod q-1,
 where s is the symbol width (1 bit for BCH, m bits for RS, for which every
 exponent is its own conjugate). The family encodes with a GF(2) parity
 matrix, decodes by syndromes, Berlekamp-Massey, a Chien search over all q-1
-positions and Forney, rejecting any magnitude wider than s bits, and owns
-the bit contract (`code_id`, `encode_bits`, `decode_bits`). A codec is a
-parameter set: its family name, its field, t and s.
+positions and (for RS) Forney to the codeword within t whenever one exists,
+and owns the bit contract (`code_id`, `encode_bits`, `decode_bits`). A
+codec is a parameter set: its family name, its field, t and s.
 """
 
 import numpy as np
@@ -38,12 +38,9 @@ class GF2m:
             x <<= 1
             if x & self.order:
                 x ^= primitive_poly
-            if x == 1 and i != n - 1:  # catches irreducible but non-primitive polys
-                raise ValueError(f"0x{primitive_poly:x} is not primitive for m={m}")
-        if x != 1:
+        if x != 1 or len(set(exp[:n])) != n:  # alpha visits all n nonzero elements, then 1
             raise ValueError(f"0x{primitive_poly:x} is not primitive for m={m}")
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
+        exp[n:] = exp[:n]
         self.exp = exp
         self.log = log
         # numpy copies for the vectorized paths
@@ -272,36 +269,34 @@ class SystematicCode:
     def _correct(self, rx):
         """Message symbols of the codeword within t symbols of rx, or None.
 
-        Forney with first consecutive root alpha^1 gives the magnitude at
-        each root X^-1 as Omega(X^-1) / Lambda'(X^-1), where Omega = S(x)
-        Lambda(x) mod x^2t. A locator that is inconsistent with its roots, a
-        zero magnitude, a magnitude of 2^s or more, or a corrected word with
-        nonzero syndromes all mean more than t errors.
+        Only two checks can reject: Berlekamp-Massey's LFSR length l must be
+        at most t and equal deg(Lambda), and the Chien search must find l
+        roots X_i^-1. They suffice: Lambda then generates S_j = sum Y_i X_i^j
+        for j = 1..2t with every Y_i nonzero (a zero Y_i would give a shorter
+        LFSR), so removing the Y_i zeroes all 2t syndromes. For s = 1 the
+        binary input gives S_2j = S_j^2, so each Y_i is in GF(2), hence 1:
+        the located bits flip. For RS (s = m), Forney with first root alpha^1
+        gives Y_i = Omega(X_i^-1) / Lambda'(X_i^-1), Omega = S Lambda mod x^2t.
         """
         field, t = self.field, self.t
         synd = self.syndromes(rx)
         if not synd.any():
             return rx[self.n - self.k :].copy()
         lam, l = berlekamp_massey(field, synd)
-        deg = len(lam) - 1
-        if l > t or deg != l:
+        if l > t or len(lam) - 1 != l:
             return None
         pos = locator_roots(field, lam)
-        if len(pos) != deg:
-            return None
-        omega = field.poly_mul(synd, lam)[: 2 * t]
-        lam_deriv = lam[1:].copy()
-        lam_deriv[1::2] = 0  # formal derivative keeps odd-degree terms
-        x_inv = field.exp_np[-pos % self.n]
-        num = field.poly_eval_many(omega, x_inv)
-        den = field.poly_eval_many(lam_deriv, x_inv)
-        if not (num.all() and den.all()):
-            return None
-        mag = field.exp_np[(field.log_np[num] - field.log_np[den]) % self.n]
-        if (mag >> self.s).any():
+        if len(pos) != l:
             return None
         fixed = rx.copy()
-        fixed[pos] ^= mag.astype(rx.dtype)
-        if self._syndromes(fixed).any():
-            return None
+        if self.s == 1:
+            fixed[pos] ^= 1
+        else:
+            omega = field.poly_mul(synd, lam)[: 2 * t]
+            lam_deriv = lam[1:].copy()
+            lam_deriv[1::2] = 0  # formal derivative keeps odd-degree terms
+            x_inv = field.exp_np[-pos % self.n]
+            num = field.poly_eval_many(omega, x_inv)
+            den = field.poly_eval_many(lam_deriv, x_inv)
+            fixed[pos] ^= field.exp_np[(field.log_np[num] - field.log_np[den]) % self.n]
         return fixed[self.n - self.k :]

@@ -221,6 +221,7 @@ class PufDevice:
         """Enroll pufs[idx] at inner challenge c0; seeds the buffer."""
         rng_seed = derive_seed("device-enroll", self.seed, idx, c0)
         helper, r2 = enroll(self.pufs[idx], c0, self.code, rng_seed)
+        r2.flags.writeable = False  # a buffer hit hands out this array
         self.aux_table[idx] = helper
         self.enrolled_c0[idx] = c0
         self.buffer.insert((idx, c0), (r2, helper))
@@ -263,8 +264,12 @@ class MachineState:
         self.memory[addr : addr + len(data)] = data
 
     def load_words(self, addr, words):
-        for i, w in enumerate(words):
-            self.mem_write(addr + 4 * i, int(w).to_bytes(4, "little"))
+        data = bytearray()
+        for i, w in enumerate(words):  # all checked before the one write
+            if not 0 <= int(w) <= MASK32:
+                raise ValueError(f"word {i}: expected a value in [0, 0xffffffff], got {w!r}")
+            data += _WORD.pack(int(w))
+        self.mem_write(addr, data)
 
     def load_hex_program(self, text):
         """Load lines of the form 'ADDR: WORD' (hex); '#' starts a comment.

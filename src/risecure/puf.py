@@ -386,6 +386,8 @@ def calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
     """
     if not 0.5 < target_reliability <= 1.0:
         raise ValueError(f"target reliability must be in (0.5, 1], got {target_reliability}")
+    if trials < 1:
+        raise ValueError(f"calibration needs at least 1 trial, got {trials}")
     if target_reliability == 1.0:
         return 0.0
     margins = puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS)

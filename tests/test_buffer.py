@@ -5,6 +5,7 @@ import pytest
 
 from risecure.buffer import LookasideBuffer, sample_with_buffer
 from risecure.extractor import enroll, get_code
+from risecure.isa import PufDevice
 from risecure.prng import stream
 from risecure.puf import ArbiterPuf, SramPuf
 
@@ -89,6 +90,32 @@ def test_unbuffered_baseline_matches_buffered_output():
         a = sample_with_buffer(buf, puf, ("dev", 0), helper, code, noise_seed=t)
         b = sample_with_buffer(None, puf, ("dev", 0), helper, code, noise_seed=t)
         assert np.array_equal(a, b)
+
+
+def _edit(out):
+    """Flip out[:8] in place where the array allows it."""
+    try:
+        out[:8] ^= 1
+    except ValueError:  # read-only
+        pass
+
+
+def test_editing_a_corrected_result_leaves_the_cache_unchanged():
+    puf, code, helper, r1 = _setup_system(1)
+    buf = LookasideBuffer(4)
+    for t in range(3):  # a miss, then hits
+        _edit(sample_with_buffer(buf, puf, ("dev", 0), helper, code, noise_seed=t))
+        assert np.array_equal(sample_with_buffer(buf, puf, ("dev", 0), helper, code,
+                                                 noise_seed=t), r1)
+    # an entry seeded at device enrollment
+    dev = PufDevice(code, seed=1)
+    dev.register(0, puf)
+    dev_helper = dev.enroll_idx(0, 0)
+    for t in range(2):
+        _edit(sample_with_buffer(dev.buffer, puf, (0, 0), dev_helper, code, noise_seed=t))
+        assert np.array_equal(sample_with_buffer(dev.buffer, puf, (0, 0), dev_helper, code,
+                                                 noise_seed=t), r1)
+    assert buf.decode_calls == 1 and dev.buffer.decode_calls == 0
 
 
 def test_hashed_mode_goes_through_cache_too():

@@ -2,13 +2,14 @@
 
 A brute-force nearest-codeword oracle on two small codes pins what the
 shared decoder does at every error weight, beyond t included (failure
-versus miscorrection), and a digest of decode outcomes pins the two
-full-size codes to the per-codec decoders they replaced. The generators
-the core derives are checked against each codec's own textbook
-construction.
+versus miscorrection), on a sample of words and on every syndrome class;
+a digest of decode outcomes pins the two full-size codes to the per-codec
+decoders they replaced. The generators the core derives are checked
+against each codec's own textbook construction.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +54,46 @@ def test_decode_matches_bruteforce_nearest_codeword(code, symbol_max):
                 assert got is not None and np.array_equal(got, msgs[near[0]]), weight
             else:
                 assert got is None, weight
+
+
+def _all_words(count, length, base):
+    """Row i holds the base-`base` digits of i, least significant first."""
+    return (np.arange(count)[:, None] // base ** np.arange(length)) % base
+
+
+@pytest.mark.parametrize("code,symbol_max", [
+    (BchCode(m=4, t=3, primitive_poly=0x13), 1),
+    (ReedSolomonCode(t=2, m=3, primitive_poly=0xB), 7),
+], ids=["bch-15-5", "rs-7-3"])
+def test_decoder_is_complete_bounded_distance_on_every_syndrome_class(code, symbol_max):
+    """Every word of BCH(15,5,3), and one word per syndrome class of RS(7,3,2),
+    decodes to the codeword within t when one exists and to None otherwise."""
+    base, r = symbol_max + 1, code.n - code.k
+    dtype = np.uint8 if symbol_max == 1 else np.int64
+    msgs = _all_words(base ** code.k, code.k, base).astype(dtype)
+    book = np.array([code.encode(m) for m in msgs])
+    if symbol_max == 1:
+        words = _all_words(2 ** code.n, code.n, 2).astype(dtype)
+    else:
+        # a systematic code's syndrome class holds one word whose message part
+        # is zero, so the parity patterns, each added to a codeword, cover all
+        rng = np.random.default_rng(7)
+        words = book[rng.integers(len(book), size=base ** r)]
+        words[:, :r] ^= _all_words(base ** r, r, base)
+    dist = np.count_nonzero(words[:, None, :] != book[None, :, :], axis=2)
+    decoded = 0
+    for rx, d in zip(words, dist):
+        near = np.nonzero(d <= code.t)[0]
+        got = code.decode(rx)
+        if len(near):
+            assert got is not None and np.array_equal(got, msgs[near[0]])
+            decoded += 1
+        else:
+            assert got is None
+    # words within t of a codeword: one sphere of sum C(n, w) (2^s - 1)^w per
+    # codeword; one syndrome class per point of a sphere
+    sphere = sum(math.comb(code.n, w) * symbol_max ** w for w in range(code.t + 1))
+    assert decoded == (len(book) * sphere if symbol_max == 1 else sphere)
 
 
 def _minpoly_generator(gf, t):

@@ -397,6 +397,14 @@ def test_load_hex_program_and_dump():
     assert len(d["memory_sha256"]) == 64
 
 
+@pytest.mark.parametrize("bad", [-1, 1 << 32])
+def test_load_words_rejects_a_word_outside_32_bits_before_writing(bad):
+    st = MachineState(memory_size=64)
+    with pytest.raises(ValueError, match=r"word 1: .*0xffffffff"):
+        st.load_words(0, [asm_ebreak(), bad, asm_ebreak()])
+    assert st.memory == bytearray(64)
+
+
 # --- custom instructions end to end --------------------------------------
 
 def _machine_with_device(seed=42, puf_seed=99, p=0.02, capacity=16, mem=8192):

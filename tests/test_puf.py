@@ -261,6 +261,12 @@ def test_calibrate_sigma_trivial_and_reachability():
         calibrate_sigma(puf, 0.4)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_calibrate_sigma_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        calibrate_sigma(ArbiterPuf(2, sigma=0.1), 0.9, trials=trials)
+
+
 def test_calibrate_sigma_hits_arbiter_target():
     target = 0.9976
     base = ArbiterPuf(21)
