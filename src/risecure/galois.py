@@ -1,10 +1,10 @@
 """GF(2^m) arithmetic and the systematic-code family behind both codecs.
 
 The field is represented through exp/log tables built from a primitive
-polynomial. Scalar helpers operate on plain ints (fast enough for the
-Berlekamp-Massey inner loop); the polynomial helpers are single gathers on
-numpy copies of the tables. Polynomials over the field are numpy int arrays
-in ascending order, so ``poly[i]`` is the coefficient of x^i.
+polynomial. Scalar helpers operate on plain ints; Berlekamp-Massey adds logs
+from the list tables, and the polynomial helpers and the Chien search gather
+from numpy copies. Polynomials over the field are numpy int arrays in
+ascending order, so ``poly[i]`` is the coefficient of x^i.
 
 `SystematicCode` is the whole code family. A narrow-sense binary BCH code
 is the binary subfield subcode of the Reed-Solomon code over the same field
@@ -14,8 +14,10 @@ where s is the symbol width (1 bit for BCH, m bits for RS, for which every
 exponent is its own conjugate). The family encodes with a GF(2) parity
 matrix, decodes by syndromes, Berlekamp-Massey, a Chien search over all q-1
 positions and (for RS) Forney to the codeword within t whenever one exists,
-and owns the bit contract (`code_id`, `encode_bits`, `decode_bits`). A
-codec is a parameter set: its family name, its field, t and s.
+and owns the bit contract (`code_id`, `encode_bits`, `decode_bits`). For a
+binary code S_2j = S_j^2, so it gathers only the t odd syndromes and runs
+Berlekamp-Massey in t steps, not 2t. A codec is a parameter set: its family
+name, its field, t and s.
 """
 
 import numpy as np
@@ -46,6 +48,7 @@ class GF2m:
         # numpy copies for the vectorized paths
         self.exp_np = np.array(exp, dtype=np.int64)
         self.log_np = np.array(log, dtype=np.int64)
+        self._root_exps = np.zeros((0, n), dtype=np.int64)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -67,6 +70,13 @@ class GF2m:
     def pow_alpha(self, e: int) -> int:
         """alpha**e for any integer exponent."""
         return self.exp[e % (self.order - 1)]
+
+    def root_exps(self, rows):
+        """[i, p] = -i*p mod (q-1), the log of (alpha^-p)^i, for i < rows: Chien's exponents."""
+        if len(self._root_exps) < rows:  # built once per row count reached, not per call
+            n = self.order - 1
+            self._root_exps = -np.arange(rows)[:, None] * np.arange(n) % n
+        return self._root_exps
 
     # polynomial helpers (ascending coefficient arrays over this field)
 
@@ -122,35 +132,44 @@ def checked_word(word, length, width, name) -> np.ndarray:
     return word.astype(np.uint8 if width == 1 else np.int64, copy=False)
 
 
-def berlekamp_massey(field: GF2m, syndromes):
+def berlekamp_massey(field: GF2m, syndromes, binary=False):
     """Find the shortest LFSR (error locator) generating the syndrome sequence.
 
     Returns the connection polynomial Lambda as an ascending int array with
     Lambda[0] == 1, and its LFSR length L. Each nonzero discrepancy updates
     Lambda once, in one loop; when L grows, the branch only swaps registers
-    so that the old Lambda becomes the reference.
+    so that the old Lambda becomes the reference. Products add logs and skip
+    zero terms; deg(Lambda) <= L bounds both inner loops. A value outside
+    [0, 2^m) raises ValueError. binary=True requires the syndromes S_1..S_2t
+    of a binary word: S_2j = S_j^2 makes every discrepancy at an even j zero
+    (Berlekamp 1968; Lin & Costello, 2nd ed., 6.2), so only the t odd steps
+    run, with the same result.
     """
-    s = [int(v) for v in syndromes]
+    exp, log, q1 = field.exp, field.log, field.order - 1
+    s = checked_word(syndromes, len(syndromes), field.m, "syndromes").tolist()
+    slog = [log[v] if v else None for v in s]
     n = len(s)
+    step = 2 if binary else 1
     lam = [1] + [0] * n
-    prev = [1] + [0] * n
-    l = 0
-    shift = 1
-    b = 1  # last nonzero discrepancy
-    for r in range(n):
+    prev = [(0, 0)]  # (i, log) of each nonzero coefficient of the reference register
+    l, shift, lb = 0, 1, 0  # lb: log of the last nonzero discrepancy
+    for r in range(0, n, step):
         d = s[r]
         for i in range(1, l + 1):
-            d ^= field.mul(lam[i], s[r - i])
+            c, sl = lam[i], slog[r - i]
+            if c and sl is not None:
+                d ^= exp[log[c] + sl]
         if d:
-            coef = field.div(d, b)
+            coef = (log[d] - lb) % q1
             nxt = lam[:]
-            for i in range(n + 1 - shift):
-                nxt[i + shift] ^= field.mul(coef, prev[i])
+            for i, lp in prev:
+                nxt[i + shift] ^= exp[coef + lp]
             if 2 * l <= r:  # L grows
-                l, prev, b, shift = r + 1 - l, lam, d, 0
+                prev = [(i, log[c]) for i, c in enumerate(lam[: l + 1]) if c]
+                l, lb, shift = r + 1 - l, log[d], 0
             lam = nxt
-        shift += 1
-    deg = max(i for i, c in enumerate(lam) if c)
+        shift += step
+    deg = max(i for i in range(l + 1) if lam[i])
     return np.array(lam[: deg + 1], dtype=np.int64), l
 
 
@@ -159,13 +178,13 @@ def locator_roots(field: GF2m, lam):
 
     Positions cover the whole multiplicative group, [0, q-1), which is the
     length of every SystematicCode, so a decoder compares their count with
-    deg(Lambda) to reject bogus locators.
+    deg(Lambda) to reject bogus locators. Exponents come from the field's
+    table. A coefficient outside [0, 2^m) raises ValueError.
     """
-    points = field.exp_np[: field.order - 1]  # alpha^0 .. alpha^(q-2)
-    vals = field.poly_eval_many(lam, points)
-    root_exps = np.nonzero(vals == 0)[0]  # exponents j with Lambda(alpha^j)=0
-    # alpha^j root  <->  position i = -j mod (q-1)
-    return np.sort(-root_exps % (field.order - 1))
+    lam = checked_word(lam, len(lam), field.m, "lam")
+    i = np.nonzero(lam)[0]
+    terms = field.exp_np[field.log_np[lam[i]][:, None] + field.root_exps(len(lam))[i]]
+    return np.nonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)[0]
 
 
 class SystematicCode:
@@ -216,9 +235,16 @@ class SystematicCode:
             parity.flags.writeable = False
             self._parity_matrices[key] = parity
         self._parity = self._parity_matrices[key]
-        # syndrome exponents: entry [j-1, i] = j*i mod (q-1), j = 1..2t
-        j = np.arange(1, 2 * t + 1, dtype=np.int64)[:, None]
-        self._synd_exps = (j * np.arange(self.n, dtype=np.int64)) % self.n
+        j = np.arange(1, 2 * t + 1, dtype=np.int64)
+        if s == 1:
+            # rows alpha^(j*i) for the t odd j; S_j for j = o * 2^a is S_o^(2^a),
+            # _powers[S_o, j-1] = alpha^(log S_o * 2^a mod (q-1)), 0 for S_o = 0
+            self._odd_rows = field.exp_np[j[::2, None] * np.arange(self.n) % self.n]
+            self._odd_of, self._cols = j // (j & -j) // 2, j - 1  # row of o, column of j
+            self._powers = field.exp_np[field.log_np[:, None] * (j & -j) % self.n]
+            self._powers[0] = 0
+        else:  # syndrome exponents: entry [j-1, i] = j*i mod (q-1), j = 1..2t
+            self._synd_exps = j[:, None] * np.arange(self.n) % self.n
 
     @property
     def code_id(self) -> str:
@@ -261,8 +287,12 @@ class SystematicCode:
         return self._bits(msg)
 
     def _syndromes(self, rx) -> np.ndarray:
-        """S_j = rx(alpha^j) for j = 1..2t, one gather over the nonzero symbols."""
+        """S_j = rx(alpha^j) for j = 1..2t, one gather over the nonzero symbols;
+        for s = 1 over the t odd j only, since then S_2j = S_j^2."""
         nz = np.nonzero(rx)[0]
+        if self.s == 1:
+            odd = np.bitwise_xor.reduce(self._odd_rows[:, nz], axis=1)
+            return self._powers[odd[self._odd_of], self._cols]
         terms = self.field.exp_np[self.field.log_np[rx[nz]] + self._synd_exps[:, nz]]
         return np.bitwise_xor.reduce(terms, axis=1)
 
@@ -282,7 +312,7 @@ class SystematicCode:
         synd = self.syndromes(rx)
         if not synd.any():
             return rx[self.n - self.k :].copy()
-        lam, l = berlekamp_massey(field, synd)
+        lam, l = berlekamp_massey(field, synd, binary=self.s == 1)
         if l > t or len(lam) - 1 != l:
             return None
         pos = locator_roots(field, lam)

@@ -167,3 +167,20 @@ def test_wrong_length_rejected(code):
         code.encode(np.zeros(35, dtype=np.uint8))
     with pytest.raises(ValueError):
         code.decode(np.zeros(126, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("code", [
+    BchCode(),
+    BchCode(m=5, t=3, primitive_poly=0x25),
+    BchCode(m=4, t=3, primitive_poly=0x13),
+], ids=["bch-127-36-15", "bch-31-16-3", "bch-15-5-3"])
+def test_odd_row_syndromes_equal_scalar_evaluation(code):
+    """S_j = rx(alpha^j) for j = 1..2t by scalar Horner evaluation, on the
+    zero word, every single-bit word and seeded random words."""
+    gf = code.field
+    rng = np.random.default_rng(18)
+    words = [np.zeros(code.n, np.uint8), *np.eye(code.n, dtype=np.uint8),
+             *rng.integers(0, 2, (100, code.n), dtype=np.uint8)]
+    for rx in words:
+        want = [gf.poly_eval(rx, gf.pow_alpha(j)) for j in range(1, 2 * code.t + 1)]
+        assert code.syndromes(rx).tolist() == want

@@ -1,6 +1,6 @@
 """Checks on the codec core shared by BchCode and ReedSolomonCode.
 
-A brute-force nearest-codeword oracle on two small codes pins what the
+A brute-force nearest-codeword oracle on small codes pins what the
 shared decoder does at every error weight, beyond t included (failure
 versus miscorrection), on a sample of words and on every syndrome class;
 a digest of decode outcomes pins the two full-size codes to the per-codec
@@ -64,7 +64,8 @@ def _all_words(count, length, base):
 @pytest.mark.parametrize("code,symbol_max", [
     (BchCode(m=4, t=3, primitive_poly=0x13), 1),
     (ReedSolomonCode(t=2, m=3, primitive_poly=0xB), 7),
-], ids=["bch-15-5", "rs-7-3"])
+    (BchCode(m=4, t=2, primitive_poly=0x13), 1),  # BCH(15,7,2): 128 codewords
+], ids=["bch-15-5", "rs-7-3", "bch-15-7"])
 def test_decoder_is_complete_bounded_distance_on_every_syndrome_class(code, symbol_max):
     """Every word of BCH(15,5,3), and one word per syndrome class of RS(7,3,2),
     decodes to the codeword within t when one exists and to None otherwise."""

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from risecure.bch import BchCode
 from risecure.galois import GF2m, berlekamp_massey, locator_roots
+from risecure.reed_solomon import ReedSolomonCode
 
 
 def clmul_mod(a, b, poly, m):
@@ -120,3 +122,79 @@ def test_locator_roots_finds_planted_roots():
             lam = gf.poly_mul(lam, np.array([1, gf.pow_alpha(int(p))], dtype=np.int64))
         found = locator_roots(gf, lam)
         assert np.array_equal(found, np.sort(pos))
+
+
+def textbook_berlekamp_massey(field, syndromes):
+    """Massey's algorithm on scalar field products, one step per syndrome:
+    the reference that the log-domain loop, and its binary t-step form, match."""
+    s = [int(v) for v in syndromes]
+    n = len(s)
+    lam = [1] + [0] * n
+    prev = [1] + [0] * n
+    l = 0
+    shift = 1
+    b = 1  # last nonzero discrepancy
+    for r in range(n):
+        d = s[r]
+        for i in range(1, l + 1):
+            d ^= field.mul(lam[i], s[r - i])
+        if d:
+            coef = field.div(d, b)
+            nxt = lam[:]
+            for i in range(n + 1 - shift):
+                nxt[i + shift] ^= field.mul(coef, prev[i])
+            if 2 * l <= r:  # L grows
+                l, prev, b, shift = r + 1 - l, lam, d, 0
+            lam = nxt
+        shift += 1
+    deg = max(i for i, c in enumerate(lam) if c)
+    return np.array(lam[: deg + 1], dtype=np.int64), l
+
+
+BM_WORDS = 10_000
+
+
+@pytest.mark.parametrize("code,symbol_max", [
+    (BchCode(), 1),
+    (BchCode(m=5, t=3, primitive_poly=0x25), 1),
+    (ReedSolomonCode(), 255),
+], ids=["bch-127-36-15-binary", "bch-31-16-3-binary", "rs-255-223-16-general"])
+def test_berlekamp_massey_matches_the_textbook_loop_on_received_words(code, symbol_max):
+    """BM_WORDS seeded received words at error weights 0 .. t+3: the binary
+    route for BCH and the general route for RS give the textbook (Lambda, L)."""
+    rng = np.random.default_rng(31)
+    for k in range(BM_WORDS):
+        weight = k % (code.t + 4)
+        rx = code.encode(rng.integers(0, symbol_max + 1, code.k).astype(np.uint8))
+        pos = rng.choice(code.n, weight, replace=False)
+        rx[pos] ^= rng.integers(1, symbol_max + 1, weight).astype(rx.dtype)
+        synd = code.syndromes(rx)
+        lam, l = berlekamp_massey(code.field, synd, binary=symbol_max == 1)
+        want, want_l = textbook_berlekamp_massey(code.field, synd)
+        assert l == want_l and np.array_equal(lam, want), (k, weight)
+
+
+def test_berlekamp_massey_matches_the_textbook_loop_on_arbitrary_sequences():
+    """Sequences over GF(2^8) that are no binary word's syndromes, on the general route."""
+    gf = GF2m(8, 0x11D)
+    rng = np.random.default_rng(32)
+    for k in range(BM_WORDS):
+        seq = rng.integers(0, 256, int(rng.integers(1, 33)))
+        seq[rng.random(len(seq)) < 0.2] = 0
+        lam, l = berlekamp_massey(gf, seq)
+        want, want_l = textbook_berlekamp_massey(gf, seq)
+        assert l == want_l and np.array_equal(lam, want), k
+
+
+# Each value indexes a field table, so one outside [0, 2^m) is an error that
+# names its argument, not a wrapped index or a bare IndexError.
+@pytest.mark.parametrize("call,name", [
+    (lambda gf: berlekamp_massey(gf, [-1, 5, 3, 2]), "syndromes"),
+    (lambda gf: berlekamp_massey(gf, [1, 128]), "syndromes"),
+    (lambda gf: berlekamp_massey(gf, [1, 128], binary=True), "syndromes"),
+    (lambda gf: locator_roots(gf, [1, -3]), "lam"),
+    (lambda gf: locator_roots(gf, np.array([1, 128])), "lam"),
+], ids=["bm-negative", "bm-wide", "bm-binary-wide", "roots-negative", "roots-wide"])
+def test_out_of_field_values_raise_value_error_naming_the_argument(call, name):
+    with pytest.raises(ValueError, match=name):
+        call(GF2m(7, 0x89))
