@@ -11,6 +11,7 @@ helper against the code, serves or reconstructs R2, and hashes it. The
 output mux `select_output` sends the corrected and hashed modes through it.
 """
 
+import numbers
 from collections import OrderedDict
 
 from .extractor import reconstruct
@@ -18,10 +19,16 @@ from .hashing import compose_response
 from .puf import eval_raw
 
 
+def _is_integer(value):
+    """True for Python and numpy integers; False for bool, float, str and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class LookasideBuffer:
     def __init__(self, capacity=16):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        """An empty FIFO; `capacity`, an integer >= 1 (numpy's too), else ValueError."""
+        if not _is_integer(capacity) or capacity < 1:
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
         self.capacity = int(capacity)
         self.entries = OrderedDict()
         self.hits = 0
@@ -94,15 +101,15 @@ def select_output(mode, puf, c0, code, helper=None, outer_challenge=None, noise_
 
     E=0 returns the raw response R1, E=1 the corrected R2, E=2 the hashed
     R3; E=3 is reserved and rejected. Modes 1 and 2 return None when
-    reconstruction fails.
+    reconstruction fails. E must be an integer, numpy integers included;
+    anything else (a float, a string, a bool) raises ValueError.
     """
-    mode = int(mode)
+    if not _is_integer(mode) or mode not in (0, 1, 2, 3):
+        raise ValueError(f"selector must be a 2-bit value, got {mode!r}")
     if mode == 0:
         return eval_raw(puf, c0, noise_seed, code.n_bits)
     if mode == 3:
         raise ValueError("selector E=11 is reserved")
-    if mode not in (1, 2):
-        raise ValueError(f"selector must be a 2-bit value, got {mode}")
     if mode == 2 and outer_challenge is None:
         raise ValueError("mode E=10 requires an outer challenge")
     return sample_with_buffer(None, puf, (None, c0), helper, code,

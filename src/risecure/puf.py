@@ -364,14 +364,13 @@ def _flip_probability(x):
 def _expected_reliability(sigma, margins):
     """Semi-analytic per-challenge agreement probability, averaged.
 
-    For one arbiter chain the flip probability at margin d is
-    q = 1 - Phi(|d| / sigma) (see _flip_probability); a XOR of k chains
-    reproduces its reference bit exactly when an even number of chains
-    flip, which has probability (1 + prod_k (1 - 2 q_k)) / 2.
+    `margins` are the absolute delay differences |d| and sigma > 0. For one
+    arbiter chain the flip probability at margin d is q = 1 - Phi(|d| / sigma)
+    (see _flip_probability); a XOR of k chains reproduces its reference bit
+    exactly when an even number of chains flip, which has probability
+    (1 + prod_k (1 - 2 q_k)) / 2.
     """
-    if sigma == 0:
-        return 1.0
-    q = _flip_probability(np.abs(margins) / sigma)
+    q = _flip_probability(margins / sigma)
     if margins.ndim == 1:
         return float(np.mean(1.0 - q))
     return float(np.mean((1.0 + np.prod(1.0 - 2.0 * q, axis=1)) / 2.0))
@@ -382,7 +381,15 @@ def calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
 
     Bisection over sigma against the expected reliability evaluated on a
     Monte-Carlo challenge sample of trials * TRIAL_BITS bits. Requires
-    0.5 < target <= 1; noise can only pull reliability down toward 1/2.
+    0.5 < target <= 1; noise can only pull reliability down toward 1/2, so
+    every such target is reached. hi doubles from 1 until the expected
+    reliability is at or below the target, which ends at the latest when
+    erfc rounds to 1 for every |d| / hi and the reliability is exactly 1/2.
+    The bisection then runs until the midpoint equals an end, that is until
+    lo and hi are adjacent doubles; each step shrinks the doubles strictly
+    inside (lo, hi), so it ends too. The result is that midpoint: its
+    reliability is above the target and the next double's is not, or the
+    reverse.
     """
     if not 0.5 < target_reliability <= 1.0:
         raise ValueError(f"target reliability must be in (0.5, 1], got {target_reliability}")
@@ -390,17 +397,16 @@ def calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
         raise ValueError(f"calibration needs at least 1 trial, got {trials}")
     if target_reliability == 1.0:
         return 0.0
-    margins = puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS)
+    margins = np.abs(puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS))
+    if not np.isfinite(margins).all():  # NaN or inf would keep hi doubling forever
+        raise ValueError("calibration needs finite delay margins; check the PUF's weights")
 
     lo, hi = 0.0, 1.0
     while _expected_reliability(hi, margins) > target_reliability:
         hi *= 2.0
-        if hi > 1e6:
-            raise ValueError(f"target reliability {target_reliability} unreachable")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if _expected_reliability(mid, margins) > target_reliability:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid

@@ -17,6 +17,23 @@ def test_constructor_validation():
     assert buf.capacity == 4 and len(buf) == 0
 
 
+@pytest.mark.parametrize("capacity", [2.9, 4.0, "8", None, True, np.float64(4), [4]],
+                         ids=repr)
+def test_capacity_must_be_an_integer(capacity):
+    with pytest.raises(ValueError, match="capacity"):
+        LookasideBuffer(capacity)
+    with pytest.raises(ValueError, match="capacity"):
+        PufDevice(get_code("bch"), capacity=capacity)
+
+
+@pytest.mark.parametrize("capacity", [np.int64(3), np.uint8(3), np.int32(3)], ids=repr)
+def test_numpy_integer_capacity_is_accepted(capacity):
+    buf = LookasideBuffer(capacity)
+    for key in range(5):
+        buf.insert(key, key)
+    assert buf.capacity == 3 and len(buf) == 3 and buf.evictions == 2
+
+
 def test_fifo_eviction_order_ignores_hits():
     buf = LookasideBuffer(2)
     buf.insert("a", 1)

@@ -67,8 +67,9 @@ def _all_words(count, length, base):
     (BchCode(m=4, t=2, primitive_poly=0x13), 1),  # BCH(15,7,2): 128 codewords
 ], ids=["bch-15-5", "rs-7-3", "bch-15-7"])
 def test_decoder_is_complete_bounded_distance_on_every_syndrome_class(code, symbol_max):
-    """Every word of BCH(15,5,3), and one word per syndrome class of RS(7,3,2),
-    decodes to the codeword within t when one exists and to None otherwise."""
+    """Every word of BCH(15,5,3) and BCH(15,7,2), and one word per syndrome
+    class of RS(7,3,2), decodes to the codeword within t when one exists and
+    to None otherwise."""
     base, r = symbol_max + 1, code.n - code.k
     dtype = np.uint8 if symbol_max == 1 else np.int64
     msgs = _all_words(base ** code.k, code.k, base).astype(dtype)
@@ -81,10 +82,9 @@ def test_decoder_is_complete_bounded_distance_on_every_syndrome_class(code, symb
         rng = np.random.default_rng(7)
         words = book[rng.integers(len(book), size=base ** r)]
         words[:, :r] ^= _all_words(base ** r, r, base)
-    dist = np.count_nonzero(words[:, None, :] != book[None, :, :], axis=2)
     decoded = 0
-    for rx, d in zip(words, dist):
-        near = np.nonzero(d <= code.t)[0]
+    for rx in words:  # one word's distances at a time: all at once is words x codewords x n
+        near = np.nonzero(np.count_nonzero(book != rx, axis=1) <= code.t)[0]
         got = code.decode(rx)
         if len(near):
             assert got is not None and np.array_equal(got, msgs[near[0]])

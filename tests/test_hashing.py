@@ -89,6 +89,25 @@ def test_mux_argument_validation():
         select_output(4, puf, 0, code, helper=helper)
 
 
+@pytest.mark.parametrize("mode", [1.9, 2.5, 1.0, "1", None, True, np.float64(2)], ids=repr)
+def test_mux_selector_must_be_an_integer(mode):
+    puf = SramPuf(3, p=0.0)
+    code = get_code("bch")
+    helper, _ = enroll(puf, 0, code, rng_seed=0)
+    outer = stream("t", 4).integers(0, 2, OUTER_CHALLENGE_BITS, dtype=np.uint8)
+    with pytest.raises(ValueError, match="selector must be a 2-bit value"):
+        select_output(mode, puf, 0, code, helper=helper, outer_challenge=outer)
+
+
+def test_mux_accepts_numpy_integer_selectors():
+    puf = SramPuf(2, p=0.02)
+    code = get_code("bch")
+    helper, r1 = enroll(puf, 0, code, rng_seed=0)
+    assert np.array_equal(select_output(np.int64(0), puf, 0, code, noise_seed=3),
+                          select_output(0, puf, 0, code, noise_seed=3))
+    assert np.array_equal(select_output(np.uint8(1), puf, 0, code, helper=helper, noise_seed=3), r1)
+
+
 def test_hashed_output_stable_across_noisy_reads():
     puf = SramPuf(4, p=0.03)
     code = get_code("bch")

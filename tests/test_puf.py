@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from risecure.prng import GOLDEN_GAMMA, derive_seed, splitmix64, stream
-from risecure.puf import (ArbiterPuf, SramPuf, XorArbiterPuf, _flip_probability,
-                          calibrate_sigma, eval_raw, expand_challenge,
-                          measure_reliability, new_puf, parity_features,
-                          puf_from_config, puf_to_config, reference_response)
+from risecure.puf import (TRIAL_BITS, ArbiterPuf, SramPuf, XorArbiterPuf,
+                          _expected_reliability, _flip_probability, calibrate_sigma,
+                          eval_raw, expand_challenge, measure_reliability, new_puf,
+                          parity_features, puf_from_config, puf_to_config,
+                          reference_response)
 
 
 def test_parity_features_contract_examples():
@@ -311,6 +312,82 @@ def test_calibrated_sigma_is_pinned(name, seed, want):
     make, target, trials = CALIBRATIONS[name]
     sigma = calibrate_sigma(make(seed), target, trials=trials, seed=seed)
     assert sigma == pytest.approx(want, rel=1e-14)
+
+
+def _reference_expected_reliability(sigma, margins):
+    """_expected_reliability as it was when it took signed margins (commit 7604a1c)."""
+    if sigma == 0:
+        return 1.0
+    q = _flip_probability(np.abs(margins) / sigma)
+    if margins.ndim == 1:
+        return float(np.mean(1.0 - q))
+    return float(np.mean((1.0 + np.prod(1.0 - 2.0 * q, axis=1)) / 2.0))
+
+
+def reference_calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
+    """calibrate_sigma's loop as it was with 80 bisection steps and a 1e6 cap (commit 7604a1c)."""
+    margins = puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS)
+
+    lo, hi = 0.0, 1.0
+    while _reference_expected_reliability(hi, margins) > target_reliability:
+        hi *= 2.0
+        if hi > 1e6:
+            raise ValueError(f"target reliability {target_reliability} unreachable")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _reference_expected_reliability(mid, margins) > target_reliability:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _calibration_case(i):
+    """Seeded case i: an arbiter (even i) or 4-XOR PUF, its target and its trial count."""
+    g = np.random.default_rng([2026, i])
+    stages = int(g.choice([8, 16, 32, 64, 100, 128, 200, 256]))
+    make = ArbiterPuf if i % 2 == 0 else (lambda seed, stages: XorArbiterPuf(seed, stages, chains=4))
+    target = 1.0 - math.exp(g.uniform(math.log(1e-4), math.log(0.49)))  # 0.51 to 0.9999
+    trials = round(math.exp(g.uniform(math.log(10), math.log(200))))  # 10 to 200
+    return make(int(g.integers(1 << 32)), stages), target, trials, int(g.integers(1 << 32))
+
+
+@pytest.mark.parametrize("i", range(50))
+def test_calibrate_sigma_equals_the_80_step_loop_and_brackets_the_target(i):
+    puf, target, trials, seed = _calibration_case(i)
+    sigma = calibrate_sigma(puf, target, trials=trials, seed=seed)
+    assert sigma == reference_calibrate_sigma(puf, target, trials=trials, seed=seed)
+    # sigma and its neighbour double toward the other end of the final interval
+    # lie on opposite sides of the target
+    margins = np.abs(puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS))
+    above = _expected_reliability(sigma, margins) > target
+    neighbour = np.nextafter(sigma, math.inf if above else 0.0)
+    assert (_expected_reliability(neighbour, margins) > target) != above
+
+
+def test_calibrate_sigma_reaches_a_target_just_above_one_half():
+    sigma = calibrate_sigma(ArbiterPuf(2), 0.500001, trials=50, seed=1)
+    assert sigma == pytest.approx(2.40e6, rel=0.01)
+
+
+def test_calibrate_sigma_stops_when_the_interval_stops_shrinking(monkeypatch):
+    calls = []
+
+    def counted(sigma, margins):
+        calls.append(sigma)
+        return _expected_reliability(sigma, margins)
+
+    monkeypatch.setattr("risecure.puf._expected_reliability", counted)
+    make, target, trials = CALIBRATIONS["perfbench-arbiter"]
+    calibrate_sigma(make(1), target, trials=trials, seed=1)
+    assert len(calls) <= 60  # 1 doubling step and 56 bisection steps; 81 with 80 fixed steps
+
+
+def test_calibrate_sigma_rejects_non_finite_margins():
+    puf = ArbiterPuf(2, stages=8)
+    puf.weights = [math.nan] + [1.0] * 8
+    with pytest.raises(ValueError, match="finite delay margins"):
+        calibrate_sigma(puf, 0.9, trials=1)
 
 
 def test_flip_probability_matches_scalar_erfc_and_is_zero_past_the_cut():

@@ -4,11 +4,12 @@
 
 Runs `perfbench/run.py --workload all` from this checkout at seed 1 and the
 run length BENCHMARK.json fixes: RUNS times with `--trace 0` for the
-end-to-end metrics, each recorded as the median of those runs with their
-min and max, and once with `--trace 1` for the per-layer metrics. It then
-writes one schema-versioned file with the host (Python, numpy, cores) and
-the git commit. A commit's file is comparable with another's only when
-both were made on the same host.
+end-to-end metrics and RUNS times with `--trace 1` for the per-layer
+metrics, each metric recorded as the median of its runs with their min
+and max, so a pair of files shows where time moved, and whether the move is
+wider than the spread. It then writes one schema-versioned file with the
+host (Python, numpy, cores) and the git commit. A commit's file is
+comparable with another's only when both were made on the same host.
 """
 
 import argparse
@@ -19,9 +20,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SEED = 1
-RUNS = 3  # untraced runs per workload; one run moves with the host's state
+RUNS = 3  # untraced and traced runs per workload; one run moves with the host's state
 
 
 def git(*args):
@@ -42,7 +43,7 @@ def run_pass(names, seconds, trace):
 
 
 def spread(runs):
-    """Each end-to-end metric of the untraced runs as its median, min and max."""
+    """Each metric of the runs as its median, min and max."""
     out = {}
     for key, metric in runs[0]["metrics"].items():
         values = [r["metrics"][key]["value"] for r in runs]
@@ -61,20 +62,20 @@ def main(argv=None):
     seconds = bench["run_seconds"]
     names = [w["name"] for w in bench["workloads"]]
     untraced = [run_pass(names, seconds, 0) for _ in range(RUNS)]
-    traced = run_pass(names, seconds, 1)
+    traced = [run_pass(names, seconds, 1) for _ in range(RUNS)]
 
     workloads = {}
     for name in names:
-        runs, layers = [u[name] for u in untraced], traced[name]
-        same_bits = len({r["output_digest"] for r in runs}) == 1  # one seed, one digest
+        runs, layers = [u[name] for u in untraced], [t[name] for t in traced]
+        same_bits = len({r["output_digest"] for r in runs + layers}) == 1  # one seed, one digest
         workloads[name] = {
-            "correct": all(r["correct"] for r in runs) and layers["correct"] and same_bits,
+            "correct": all(r["correct"] for r in runs + layers) and same_bits,
             "attempted": [r["attempted"] for r in runs],
             "failed": [r["failed"] for r in runs],
             "output_digest": runs[0]["output_digest"],
             "end_to_end": spread(runs),
-            "per_layer": layers["metrics"],
-            "missing_spans": layers["missing_spans"],
+            "per_layer": spread(layers),
+            "missing_spans": sorted({s for r in layers for s in r["missing_spans"]}),
         }
     # Python, numpy, BLAS, cores (nproc) and machine, as the benchmark read them
     host = untraced[0][names[0]]["host"]
