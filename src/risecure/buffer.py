@@ -11,25 +11,18 @@ helper against the code, serves or reconstructs R2, and hashes it. The
 output mux `select_output` sends the corrected and hashed modes through it.
 """
 
-import numbers
 from collections import OrderedDict
 
 from .extractor import reconstruct
 from .hashing import compose_response
+from .prng import checked_int, is_integer
 from .puf import eval_raw
-
-
-def _is_integer(value):
-    """True for Python and numpy integers; False for bool, float, str and the rest."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class LookasideBuffer:
     def __init__(self, capacity=16):
         """An empty FIFO; `capacity`, an integer >= 1 (numpy's too), else ValueError."""
-        if not _is_integer(capacity) or capacity < 1:
-            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
-        self.capacity = int(capacity)
+        self.capacity = checked_int(capacity, "capacity", 1)
         self.entries = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -104,7 +97,7 @@ def select_output(mode, puf, c0, code, helper=None, outer_challenge=None, noise_
     reconstruction fails. E must be an integer, numpy integers included;
     anything else (a float, a string, a bool) raises ValueError.
     """
-    if not _is_integer(mode) or mode not in (0, 1, 2, 3):
+    if not is_integer(mode) or mode not in (0, 1, 2, 3):
         raise ValueError(f"selector must be a 2-bit value, got {mode!r}")
     if mode == 0:
         return eval_raw(puf, c0, noise_seed, code.n_bits)

@@ -20,7 +20,7 @@ from .buffer import select_output
 from .extractor import HelperData, enroll, get_code
 from .hashing import bits_to_bytes, bytes_to_bits
 from .isa import MachineState, MemoryFault, PufDevice, run
-from .prng import derive_seed, stream
+from .prng import derive_seed, is_integer, stream
 from .puf import new_puf, puf_from_config, puf_to_config
 
 HASH = "sha3-256"  # the output hash every system file names; there is no other
@@ -51,7 +51,7 @@ def _load_system(path):
     cfg = _read_json(path)
     puf = puf_from_config(cfg)
     capacity = cfg.get("buffer_capacity", 16)
-    if type(capacity) is not int or capacity < 1:
+    if not is_integer(capacity) or capacity < 1:
         raise ValueError(f"buffer_capacity must be an integer >= 1, got {capacity!r}")
     if cfg.get("hash", HASH) != HASH:
         raise ValueError(f"hash must be {HASH!r}, got {cfg['hash']!r}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bch import BchCode
 from .galois import SystematicCode
-from .prng import stream
+from .prng import checked_int, stream
 from .puf import eval_raw, reference_response
 from .reed_solomon import ReedSolomonCode
 
@@ -83,10 +83,11 @@ def enroll(puf, c0, code, rng_seed):
     the reference keeps the per-reconstruction error count at Binomial(n, p)
     instead of the doubled 2p(1-p) rate a noisy anchor would give.
     """
-    r = stream("enroll-secret", rng_seed).integers(0, 2, code.k_bits, dtype=np.uint8)
+    g = stream("enroll-secret", checked_int(rng_seed, "rng_seed"))
+    r = g.integers(0, 2, code.k_bits, dtype=np.uint8)
     r1 = reference_response(puf, c0, code.n_bits)
-    aux = code.encode_bits(r) ^ r1
-    return HelperData(aux=aux.astype(np.uint8), code=code), r1.copy()
+    aux = code.encode_bits(r) ^ r1  # two uint8 arrays XOR to a fresh uint8 array
+    return HelperData(aux=aux, code=code), r1.copy()
 
 
 def reconstruct(puf, c0, helper, noise_seed):
@@ -96,4 +97,4 @@ def reconstruct(puf, c0, helper, noise_seed):
     msg = code.decode_bits(helper.aux ^ r1_new)
     if msg is None:
         return None
-    return (code.encode_bits(msg) ^ helper.aux).astype(np.uint8)
+    return code.encode_bits(msg) ^ helper.aux

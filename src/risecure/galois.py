@@ -1,10 +1,10 @@
 """GF(2^m) arithmetic and the systematic-code family behind both codecs.
 
 The field is represented through exp/log tables built from a primitive
-polynomial. Scalar helpers operate on plain ints; Berlekamp-Massey adds logs
-from the list tables, and the polynomial helpers and the Chien search gather
-from numpy copies. Polynomials over the field are numpy int arrays in
-ascending order, so ``poly[i]`` is the coefficient of x^i.
+polynomial. Berlekamp-Massey adds logs from the list tables, and the
+polynomial helpers and the Chien search gather from numpy copies.
+Polynomials over the field are numpy int arrays in ascending order, so
+``poly[i]`` is the coefficient of x^i.
 
 `SystematicCode` is the whole code family. A narrow-sense binary BCH code
 is the binary subfield subcode of the Reed-Solomon code over the same field
@@ -50,27 +50,6 @@ class GF2m:
         self.log_np = np.array(log, dtype=np.int64)
         self._root_exps = np.zeros((0, n), dtype=np.int64)
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^m)")
-        if a == 0:
-            return 0
-        return self.exp[self.log[a] - self.log[b] + self.order - 1]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.exp[self.order - 1 - self.log[a]]
-
-    def pow_alpha(self, e: int) -> int:
-        """alpha**e for any integer exponent."""
-        return self.exp[e % (self.order - 1)]
-
     def root_exps(self, rows):
         """[i, p] = -i*p mod (q-1), the log of (alpha^-p)^i, for i < rows: Chien's exponents."""
         if len(self._root_exps) < rows:  # built once per row count reached, not per call
@@ -89,13 +68,6 @@ class GF2m:
         terms = self.exp_np[self.log_np[p[i]] + self.log_np[q[j]]]
         np.bitwise_xor.at(out, i + j, terms)
         return out
-
-    def poly_eval(self, p, x: int) -> int:
-        """Evaluate p at the scalar point x (Horner, descending from the top)."""
-        acc = 0
-        for c in reversed(np.asarray(p, dtype=np.int64)):
-            acc = self.mul(acc, x) ^ int(c)
-        return acc
 
     def poly_eval_many(self, p, xs):
         """Evaluate p at every point of the 1-D array xs: XOR over i of

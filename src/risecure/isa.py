@@ -38,7 +38,7 @@ import numpy as np
 from .buffer import LookasideBuffer, sample_with_buffer
 from .extractor import enroll
 from .hashing import bits_to_bytes, bytes_to_bits
-from .prng import derive_seed
+from .prng import checked_int, derive_seed, is_integer
 
 CUSTOM_OPCODE = 0b0101011
 F3_INNER_INIT = 0b001
@@ -207,7 +207,7 @@ class PufDevice:
 
     def __init__(self, code, seed=0, capacity=16):
         self.code = code
-        self.seed = int(seed)
+        self.seed = checked_int(seed, "seed")
         self.buffer = LookasideBuffer(capacity)
         self.pufs = {}
         self.aux_table = {}
@@ -244,8 +244,9 @@ class PufDevice:
 
 class MachineState:
     def __init__(self, memory_size=1 << 20, device=None):
-        if not 0 <= memory_size <= 1 << 32:  # addresses wrap at 2^32, so more is unreachable
-            raise ValueError(f"memory_size must be in [0, 2^32], got {memory_size}")
+        # addresses wrap at 2^32, so more is unreachable
+        if not is_integer(memory_size) or not 0 <= memory_size <= 1 << 32:
+            raise ValueError(f"memory_size must be in [0, 2^32], got {memory_size!r}")
         self.regs = [0] * 32
         self.pc = 0
         self.memory = bytearray(memory_size)
@@ -403,8 +404,7 @@ def step(state):
 
 def run(state, max_steps=1_000_000):
     """Step until halt or trap; returns the final status."""
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    max_steps = checked_int(max_steps, "max_steps", 1)
     for _ in range(max_steps):
         if step(state) != "continue":
             return state.status

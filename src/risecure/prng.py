@@ -8,6 +8,7 @@ simulation, benchmark and attack run here bit-reproducible.
 """
 
 import hashlib
+import numbers
 import struct
 
 import numpy as np
@@ -18,6 +19,28 @@ MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _U = np.uint64
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bool, float, str and the rest.
+
+    The one rule for every integer parameter at a library boundary (seeds,
+    sizes, counts, challenges): a value it rejects raises ValueError naming
+    the parameter, never a silent truncation or a bare TypeError.
+    """
+    # type(...) is int answers the common case before the slower ABC check
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def checked_int(value, name, lo=None, hi=None) -> int:
+    """value as an int when is_integer(value) and lo <= value <= hi (a None bound is open);
+    otherwise ValueError naming `name`."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+    return int(value)
 
 
 def _domain_hash(tag: str, seeds) -> bytes:

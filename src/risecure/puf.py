@@ -25,10 +25,11 @@ that need the {-1,+1} matrix.
 """
 
 import math
+import numbers
 
 import numpy as np
 
-from .prng import GOLDEN_GAMMA, MASK64, derive_seed, splitmix64, stream
+from .prng import GOLDEN_GAMMA, MASK64, checked_int, derive_seed, is_integer, splitmix64, stream
 
 SCHEMA_VERSION = 1
 TRIAL_BITS = 127  # bits per arbiter read in reliability trials and calibration samples
@@ -39,10 +40,10 @@ def _challenge_words(c0, count, stages):
     """The (count, ceil(stages/64)) uint64 words of c0's sub-challenges.
 
     Bit k of word j is stage 64j + k; bits past `stages` are left as drawn.
-    Raises ValueError for c0 outside [0, 2^64).
+    Raises ValueError for c0 other than an integer in [0, 2^64).
     """
-    if not 0 <= c0 < 1 << 64:
-        raise ValueError(f"inner challenge c0 must be in [0, 2^64), got {c0}")
+    if not is_integer(c0) or not 0 <= c0 < 1 << 64:
+        raise ValueError(f"inner challenge c0 must be an integer in [0, 2^64), got {c0!r}")
     words_per = -(-stages // 64)
     idx = np.arange(count * words_per, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -106,8 +107,10 @@ def expand_challenge(c0, count, stages=64):
 
     Public, non-cryptographic: sub-challenge bits come from the splitmix64
     output sequence seeded by c0, so any party can recompute the expansion.
-    Raises ValueError for c0 outside [0, 2^64).
+    Raises ValueError for c0 other than an integer in [0, 2^64), count
+    other than an integer >= 0, or stages other than an integer >= 1.
     """
+    count, stages = checked_int(count, "count", 0), checked_int(stages, "stages", 1)
     words = _bytes(_challenge_words(c0, count, stages))
     return np.unpackbits(words, axis=1, bitorder="little")[:, :stages]
 
@@ -118,23 +121,25 @@ class SramPuf:
     kind = "sram"
 
     def __init__(self, seed, num_blocks=16, block_bits=127, p=0.05):
-        if not 0 <= p < 0.5:
-            raise ValueError(f"flip probability must be in [0, 0.5), got {p}")
-        if num_blocks < 1 or block_bits < 1:
-            raise ValueError("num_blocks and block_bits must be positive")
-        self.seed = int(seed)
-        self.num_blocks = int(num_blocks)
-        self.block_bits = int(block_bits)
+        if not isinstance(p, numbers.Real) or not 0 <= p < 0.5:
+            raise ValueError(f"flip probability p must be a number in [0, 0.5), got {p!r}")
+        self.seed = checked_int(seed, "seed")
+        self.num_blocks = checked_int(num_blocks, "num_blocks", 1)
+        self.block_bits = checked_int(block_bits, "block_bits", 1)
         self.p = float(p)
         self._ref = {}  # block -> its read-only power-up value, a pure function of (seed, block)
 
     def read(self, c0, n_bits, noise_seed=None):
         """Block c0, which must be n_bits wide; its power-up value when noise_seed is None."""
-        if n_bits != self.block_bits:
-            raise ValueError(f"code length {n_bits} != SRAM block width {self.block_bits}")
+        if not is_integer(n_bits) or n_bits != self.block_bits:
+            raise ValueError(f"code length n_bits={n_bits!r} != SRAM block width "
+                             f"{self.block_bits}")
+        if not is_integer(c0) or not 0 <= c0 < self.num_blocks:
+            raise ValueError(f"block index c0 must be an integer in [0, {self.num_blocks}), "
+                             f"got {c0!r}")
+        if noise_seed is not None:
+            checked_int(noise_seed, "noise_seed")
         block = int(c0)
-        if not 0 <= block < self.num_blocks:
-            raise ValueError(f"block index {block} out of range [0, {self.num_blocks})")
         ref = self._ref.get(block)
         if ref is None:
             ref = stream("sram-ref", self.seed, block).integers(0, 2, self.block_bits, dtype=np.uint8)
@@ -165,8 +170,10 @@ class _DelayPuf:
 
     def read(self, c0, n_bits, noise_seed=None):
         """n_bits response bits for inner challenge c0; noiseless when noise_seed is None."""
-        parity = _suffix_parity(_challenge_words(c0, n_bits, self.stages), self.stages)
-        return self.respond(parity, noise_seed)
+        words = _challenge_words(c0, checked_int(n_bits, "n_bits", 1), self.stages)
+        if noise_seed is not None:
+            checked_int(noise_seed, "noise_seed")
+        return self.respond(_suffix_parity(words, self.stages), noise_seed)
 
     def draw_challenge(self, g, n_bits):
         """A random inner challenge from g and the width of its read."""
@@ -185,7 +192,13 @@ class _DelayPuf:
 
     def eval_bits(self, challenges, noise_seed=None):
         """Response bits for a challenge batch; noiseless when noise_seed is None."""
+        if noise_seed is not None:
+            checked_int(noise_seed, "noise_seed")
         return self.respond(self.features(challenges), noise_seed)
+
+    def with_sigma(self, sigma):
+        """The PUF of the same kind, seed and params, but with noise sigma."""
+        return type(self)(self.seed, **{**self.params(), "sigma": sigma})
 
 
 _BYTE_SIGNS = 1.0 - 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
@@ -195,39 +208,35 @@ _BYTE_SIGNS = 1.0 - 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
 class ArbiterPuf(_DelayPuf):
     """Strong PUF: additive delay model with seeded standard-normal weights.
 
-    Assigning `weights` rebuilds the per-byte table the margins are read
-    from: entry [b, v] is w[8b:8b+8] . (1 - 2*bits(v)), so a margin is one
-    lookup per byte of suffix parity plus the bias w[stages]. The weights
-    are kept as a read-only copy, so the table cannot go stale in place.
+    The weights are drawn from the seed once, and margins are read from a
+    per-byte table built from them at the same time: entry [b, v] is
+    w[8b:8b+8] . (1 - 2*bits(v)), so a margin is one lookup per byte of
+    suffix parity plus the bias w[stages]. `weights` is read-only and has
+    no setter, so an instance stays the one its (seed, params) define.
     """
 
     kind = "arbiter"
 
     def __init__(self, seed, stages=64, sigma=0.0):
-        if not 1 <= stages <= 1024:  # bounds the stages+1 weights a config can allocate
-            raise ValueError(f"stage count must be in [1, 1024], got {stages}")
-        if not 0 <= sigma < math.inf:  # also rejects NaN, which would read noise-free
-            raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
-        self.seed = int(seed)
-        self.stages = int(stages)
+        self.seed = checked_int(seed, "seed")
+        # the bound caps the stages+1 weights a config can allocate
+        self.stages = checked_int(stages, "stage count", 1, 1024)
+        if not isinstance(sigma, numbers.Real) or not 0 <= sigma < math.inf:
+            # also rejects NaN, which would read noise-free
+            raise ValueError(f"noise sigma must be finite and >= 0, got {sigma!r}")
         self.sigma = float(sigma)
-        self.weights = stream("arbiter-weights", self.seed).standard_normal(stages + 1)
-
-    @property
-    def weights(self):
-        return self._weights
-
-    @weights.setter
-    def weights(self, weights):
-        weights = np.array(weights, dtype=np.float64)
+        weights = stream("arbiter-weights", self.seed).standard_normal(self.stages + 1)
         weights.flags.writeable = False
-        if weights.shape != (self.stages + 1,):
-            raise ValueError(f"need {self.stages + 1} weights, got shape {weights.shape}")
         padded = np.zeros(8 * -(-self.stages // 8))
         padded[:self.stages] = weights[:self.stages]
         self._weights = weights
         self._table = padded.reshape(-1, 8) @ _BYTE_SIGNS.T
         self._rows = 256 * np.arange(len(self._table))  # flat offset of each byte's row
+
+    @property
+    def weights(self):
+        """The stages + 1 seeded delay weights, the bias last; read-only."""
+        return self._weights
 
     def _margin(self, parity):
         """Noiseless delay differences w . Phi for suffix-parity words."""
@@ -245,9 +254,6 @@ class ArbiterPuf(_DelayPuf):
             d = d + stream("arbiter-noise", self.seed, noise_seed).normal(0.0, self.sigma, len(d))
         return (d > 0).astype(np.uint8)
 
-    def with_sigma(self, sigma):
-        return ArbiterPuf(self.seed, self.stages, sigma)
-
     def params(self):
         return {"stages": self.stages, "sigma": self.sigma}
 
@@ -258,16 +264,14 @@ class XorArbiterPuf(_DelayPuf):
     kind = "xor"
 
     def __init__(self, seed, stages=64, chains=4, sigma=0.0):
-        if not 1 <= chains <= 64:
-            raise ValueError(f"chain count must be in [1, 64], got {chains}")
-        self.seed = int(seed)
-        self.stages = int(stages)
-        self.num_chains = int(chains)
-        self.sigma = float(sigma)
+        self.num_chains = checked_int(chains, "chain count", 1, 64)
+        self.seed = checked_int(seed, "seed")
         self.chains = [
-            ArbiterPuf(derive_seed("xor-chain", seed, i), stages, sigma)
-            for i in range(chains)
+            ArbiterPuf(derive_seed("xor-chain", self.seed, i), stages, sigma)
+            for i in range(self.num_chains)
         ]
+        self.stages = self.chains[0].stages  # the chains check stages and sigma
+        self.sigma = self.chains[0].sigma
 
     def margins(self, challenges):
         """Per-chain noiseless margins, stacked as (N, chains)."""
@@ -280,9 +284,6 @@ class XorArbiterPuf(_DelayPuf):
         for chain in self.chains:
             acc ^= chain.respond(parity, noise_seed)
         return acc
-
-    def with_sigma(self, sigma):
-        return XorArbiterPuf(self.seed, self.stages, self.num_chains, sigma)
 
     def params(self):
         return {"stages": self.stages, "chains": self.num_chains, "sigma": self.sigma}
@@ -334,8 +335,8 @@ def measure_reliability(puf, trials, seed):
     (TRIAL_BITS wide, or one block for SRAM) and compares it to the
     noiseless reference.
     """
-    if trials < 1000:
-        raise ValueError("reliability estimates need at least 1000 trials")
+    trials = checked_int(trials, "trials", 1000)  # fewer give no usable estimate
+    seed = checked_int(seed, "seed")
     g = stream("reliability-challenges", seed)
     agree = 0
     total = 0
@@ -391,15 +392,17 @@ def calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
     reliability is above the target and the next double's is not, or the
     reverse.
     """
-    if not 0.5 < target_reliability <= 1.0:
-        raise ValueError(f"target reliability must be in (0.5, 1], got {target_reliability}")
-    if trials < 1:
-        raise ValueError(f"calibration needs at least 1 trial, got {trials}")
+    if not isinstance(target_reliability, numbers.Real) or not 0.5 < target_reliability <= 1.0:
+        raise ValueError(f"target reliability must be in (0.5, 1], got {target_reliability!r}")
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"calibration needs at least 1 trial: trials must be an integer >= 1, "
+                         f"got {trials!r}")
+    seed = checked_int(seed, "seed")
     if target_reliability == 1.0:
         return 0.0
     margins = np.abs(puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS))
     if not np.isfinite(margins).all():  # NaN or inf would keep hi doubling forever
-        raise ValueError("calibration needs finite delay margins; check the PUF's weights")
+        raise ValueError("calibration needs finite delay margins from puf.sample_margins")
 
     lo, hi = 0.0, 1.0
     while _expected_reliability(hi, margins) > target_reliability:

@@ -153,6 +153,9 @@ _MALFORMED = {  # case: (file to corrupt, corruption)
     "params-list": ("system", lambda d: {**d, "params": [1, 2]}),
     "seed-list": ("system", lambda d: {**d, "seed": [9]}),
     "seed-infinity": ("system", lambda d: {**d, "seed": float("inf")}),
+    "seed-float": ("system", lambda d: {**d, "seed": 1.5}),
+    "params-num-blocks-float": ("system", lambda d: {**d, "params": {**d["params"],
+                                                                     "num_blocks": 2.5}}),
     "capacity-string": ("system", lambda d: {**d, "buffer_capacity": "8"}),
     "capacity-zero": ("system", lambda d: {**d, "buffer_capacity": 0}),
     "hash-sha2": ("system", lambda d: {**d, "hash": "sha2-256"}),

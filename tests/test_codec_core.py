@@ -9,6 +9,7 @@ against each codec's own textbook construction.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from risecure.galois import GF2m
 from risecure.hashing import OUTER_CHALLENGE_BITS, compose_response
 from risecure.prng import stream
 from risecure.reed_solomon import ReedSolomonCode
+
+from gf_ref import ref_field
 
 
 def _corrupt(code, cw, weight, rng, symbol_max):
@@ -106,7 +109,7 @@ def _minpoly_generator(gf, t):
         minpoly, e = np.array([1], dtype=np.int64), j
         while e not in seen:
             seen.add(e)
-            minpoly = gf.poly_mul(minpoly, [gf.pow_alpha(e), 1])
+            minpoly = gf.poly_mul(minpoly, [ref_field(gf).pow_alpha(e), 1])
             e = 2 * e % n
         assert set(minpoly.tolist()) <= {0, 1}
         gen = gf.poly_mul(gen, minpoly)
@@ -117,7 +120,7 @@ def _root_product_generator(gf, t):
     """RS: the product of (x - alpha^j) for j = 1..2t."""
     gen = np.array([1], dtype=np.int64)
     for j in range(1, 2 * t + 1):
-        gen = gf.poly_mul(gen, [gf.pow_alpha(j), 1])
+        gen = gf.poly_mul(gen, [ref_field(gf).pow_alpha(j), 1])
     return gen
 
 
@@ -241,6 +244,32 @@ def test_failure_census_beyond_t(code, symbol_max, census):
                 miscorrections += 1
         got[weight] = (failures, miscorrections)
     assert got == census
+
+
+# Every error pattern of each weight beyond t on a small code, as {weight:
+# (miscorrected, patterns)}. The codes are linear, so patterns on the zero
+# codeword stand for every codeword; a pattern the decoder does not
+# miscorrect fails. Here, unlike on the default codes, miscorrection is
+# common: a decoding sphere of radius t covers much of the space.
+@pytest.mark.parametrize("code,counts", [
+    (BchCode(m=4, t=3, primitive_poly=0x13),
+     {4: (525, 1365), 5: (1155, 3003), 6: (3045, 5005), 7: (3915, 6435)}),
+    (BchCode(m=4, t=2, primitive_poly=0x13), {3: (180, 455), 4: (540, 1365)}),
+], ids=["bch-15-5-3", "bch-15-7-2"])
+def test_exhaustive_miscorrection_counts_beyond_t(code, counts):
+    got = {}
+    for weight in counts:
+        miscorrected = patterns = 0
+        for pos in itertools.combinations(range(code.n), weight):
+            rx = np.zeros(code.n, dtype=np.uint8)
+            rx[list(pos)] = 1
+            out = code.decode(rx)
+            if out is not None:
+                assert out.any()  # the zero message lies weight > t away
+                miscorrected += 1
+            patterns += 1
+        got[weight] = (miscorrected, patterns)
+    assert got == counts
 
 
 @pytest.mark.parametrize("code,symbol_max", [(BCH, 1), (RS, 255)],

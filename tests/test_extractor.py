@@ -166,6 +166,28 @@ def test_aux_is_full_code_length_and_binary():
         assert set(np.unique(helper.aux)) <= {0, 1}
 
 
+def test_r2_and_aux_are_uint8_and_r2_owns_its_memory():
+    for name in ("bch", "rs"):
+        code = get_code(name)
+        puf = SramPuf(10, block_bits=code.n_bits, p=0.0)
+        helper, _ = enroll(puf, 0, code, rng_seed=0)
+        r2 = reconstruct(puf, 0, helper, noise_seed=1)
+        assert helper.aux.dtype == np.uint8 and r2.dtype == np.uint8
+        assert not np.shares_memory(r2, helper.aux) and r2.flags.writeable
+
+
+def test_enroll_and_reconstruct_take_integer_challenges_and_seeds():
+    code = get_code("bch")
+    puf = SramPuf(10, block_bits=code.n_bits, p=0.0)
+    helper, _ = enroll(puf, 1, code, rng_seed=0)
+    with pytest.raises(ValueError, match="c0"):  # it read block 1 and failed its decode
+        reconstruct(puf, 1.5, helper, noise_seed=0)
+    with pytest.raises(ValueError, match="noise_seed"):  # it read with noise seed 1
+        reconstruct(puf, 1, helper, noise_seed=1.5)
+    with pytest.raises(ValueError, match="rng_seed"):  # it enrolled with secret seed 0
+        enroll(puf, 1, code, rng_seed=0.5)
+
+
 @pytest.mark.parametrize("code", [ReedSolomonCode(t=2, m=4, primitive_poly=0x13),
                                   BchCode(m=5, t=3, primitive_poly=0x25)],
                          ids=lambda code: code.code_id)

@@ -375,6 +375,28 @@ def test_traps_preserve_pc_and_stop_the_machine():
         run(st, max_steps=0)
 
 
+# integers only, numpy's too; each of these built a truncated machine, ran a
+# truncated budget or raised a bare TypeError
+@pytest.mark.parametrize("call,name", [
+    (lambda: MachineState(memory_size=2.5), "memory_size"),
+    (lambda: MachineState(memory_size="64"), "memory_size"),
+    (lambda: run(MachineState(memory_size=64), max_steps=1.5), "max_steps"),
+    (lambda: run(MachineState(memory_size=64), max_steps=True), "max_steps"),
+    (lambda: PufDevice(get_code("bch"), seed=1.5), "seed"),
+], ids=["memory-size-float", "memory-size-str", "max-steps-float", "max-steps-bool",
+        "device-seed"])
+def test_non_integer_machine_parameters_raise_value_error_naming_them(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_numpy_integer_machine_parameters_are_accepted():
+    st = MachineState(memory_size=np.int64(64))
+    st.load_words(0, [asm_jal(0, 0)])
+    assert len(st.memory) == 64 and run(st, max_steps=np.uint32(5)) == "trap"
+    assert "budget of 5 " in st.trap_cause
+
+
 @pytest.mark.parametrize("mem, pc", [(4096, -4), (4096, 4096), (4096, 1 << 32), (6, 4)])
 def test_fetch_out_of_bounds_traps_like_a_load(mem, pc):
     st = MachineState(memory_size=mem)

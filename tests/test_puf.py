@@ -99,6 +99,66 @@ def test_sram_block_out_of_range():
         eval_raw(puf, 0, noise_seed=0, n_bits=128)  # width mismatch
 
 
+# Every integer parameter takes Python and numpy integers only. A float, a
+# string or a bool raises ValueError naming the parameter; each of these
+# used to build a truncated instance, read a truncated challenge, or raise a
+# bare TypeError.
+@pytest.mark.parametrize("call,name", [
+    (lambda: SramPuf(1, num_blocks=2.5), "num_blocks"),
+    (lambda: SramPuf(1, block_bits=127.9), "block_bits"),
+    (lambda: SramPuf(1.5), "seed"),
+    (lambda: SramPuf(1, p="0.1"), "probability p"),
+    (lambda: ArbiterPuf(1, stages=True), "stage count"),
+    (lambda: ArbiterPuf(1, stages=64.7), "stage count"),
+    (lambda: ArbiterPuf(1.5), "seed"),
+    (lambda: ArbiterPuf(1, sigma="0.1"), "sigma"),
+    (lambda: XorArbiterPuf(1, chains=2.5), "chain count"),
+    (lambda: XorArbiterPuf(1, stages=64.7), "stage count"),
+    (lambda: XorArbiterPuf(1.5), "seed"),
+    (lambda: puf_from_config({"version": 1, "kind": "sram", "seed": 1.5}), "seed"),
+    (lambda: eval_raw(ArbiterPuf(1), 1.5, 0, 127), "c0"),
+    (lambda: eval_raw(SramPuf(1), 1.5, 0, 127), "c0"),
+    (lambda: eval_raw(ArbiterPuf(1), 1, 0, -1), "n_bits"),
+    (lambda: eval_raw(ArbiterPuf(1), 1, 0, 127.0), "n_bits"),
+    (lambda: eval_raw(SramPuf(1), 1, 0, 127.0), "n_bits"),
+    (lambda: reference_response(ArbiterPuf(1), True, 127), "c0"),
+    (lambda: eval_raw(ArbiterPuf(1, sigma=0.1), 1, 1.5, 127), "noise_seed"),
+    (lambda: eval_raw(SramPuf(1), 1, 1.5, 127), "noise_seed"),
+    (lambda: ArbiterPuf(1, stages=4, sigma=0.5).eval_bits(np.zeros((2, 4), np.uint8), 1.5),
+     "noise_seed"),
+    (lambda: expand_challenge(5, -1), "count"),
+    (lambda: expand_challenge(5, 2.5), "count"),
+    (lambda: expand_challenge(5, 2, stages=64.0), "stages"),
+    (lambda: calibrate_sigma(ArbiterPuf(1), 0.9, trials=1.5), "trials"),
+    (lambda: calibrate_sigma(ArbiterPuf(1), 0.9, trials=1, seed=1.5), "seed"),
+    (lambda: calibrate_sigma(ArbiterPuf(1), "0.9"), "target reliability"),
+    (lambda: measure_reliability(SramPuf(1), 1000.5, seed=0), "trials"),
+    (lambda: measure_reliability(SramPuf(1), 1000, seed=0.5), "seed"),
+], ids=["sram-num-blocks", "sram-block-bits", "sram-seed", "sram-p-str", "arbiter-stages-bool",
+        "arbiter-stages-float", "arbiter-seed", "arbiter-sigma-str", "xor-chains", "xor-stages",
+        "xor-seed", "config-seed", "arbiter-c0", "sram-c0", "arbiter-n-bits-negative",
+        "arbiter-n-bits-float", "sram-n-bits-float", "reference-c0-bool", "arbiter-noise-seed",
+        "sram-noise-seed", "eval-bits-noise-seed", "expand-count-negative", "expand-count-float",
+        "expand-stages-float", "calibrate-trials",
+        "calibrate-seed", "calibrate-target-str", "reliability-trials", "reliability-seed"])
+def test_non_integer_parameters_raise_value_error_naming_them(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_numpy_integer_parameters_read_like_python_ints():
+    i = np.int64
+    sram = SramPuf(i(1), num_blocks=np.int32(4), block_bits=np.uint16(127))
+    assert puf_to_config(sram) == puf_to_config(SramPuf(1, num_blocks=4))
+    assert np.array_equal(eval_raw(sram, np.uint8(3), 0, i(127)),
+                          eval_raw(SramPuf(1, num_blocks=4), 3, 0, 127))
+    xor = XorArbiterPuf(i(2), stages=i(32), chains=np.uint8(3), sigma=0.2)
+    same = XorArbiterPuf(2, stages=32, chains=3, sigma=0.2)
+    assert puf_to_config(xor) == puf_to_config(same)
+    assert np.array_equal(eval_raw(xor, np.uint64(1 << 63), i(4), i(255)),
+                          eval_raw(same, 1 << 63, 4, 255))
+
+
 def test_arbiter_noiseless_repeatable():
     puf = ArbiterPuf(7, stages=64, sigma=0.0)
     c = stream("t", 1).integers(0, 2, (10, 64), dtype=np.uint8)
@@ -120,14 +180,6 @@ def test_arbiter_bit_matches_independent_dot_product():
             acc += puf.weights[i] * np.prod(signs[i:])
         acc += puf.weights[64]
         assert puf.eval_bits(c[None, :])[0] == int(acc > 0)
-
-
-def test_arbiter_weight_scaling_invariance():
-    puf = ArbiterPuf(9, stages=32, sigma=0.0)
-    scaled = ArbiterPuf(9, stages=32, sigma=0.0)
-    scaled.weights = puf.weights * 37.0
-    c = stream("t", 2).integers(0, 2, (100, 32), dtype=np.uint8)
-    assert np.array_equal(puf.eval_bits(c, None), scaled.eval_bits(c, None))
 
 
 def test_xor_of_identical_chains_is_zero():
@@ -221,18 +273,29 @@ def test_arbiter_reads_match_the_recorded_digest():
     assert _read_digest() == "130e161f921345781256829b7cfdf5af51078df83de6054248d2ded4406dfd3e"
 
 
-def test_reassigning_weights_rebuilds_the_margin_table():
+def test_weights_are_read_only_and_match_the_margin_table():
     puf = ArbiterPuf(3, stages=65)
     c = stream("t", 12).integers(0, 2, (50, 65), dtype=np.uint8)
     before = puf.margins(c)
     assert np.allclose(before, _cumprod_features(c) @ puf.weights)
-    puf.weights = -2.0 * puf.weights
-    assert np.allclose(puf.margins(c), -2.0 * before)
-    assert np.array_equal(puf.eval_bits(c), (puf.margins(c) > 0).astype(np.uint8))
-    with pytest.raises(ValueError):
-        puf.weights = np.ones(65)
+    assert np.array_equal(puf.eval_bits(c), (before > 0).astype(np.uint8))
+    with pytest.raises(AttributeError):  # no setter: the seed fixes the weights
+        puf.weights = -2.0 * puf.weights
     with pytest.raises(ValueError):  # read-only, so the table cannot go stale in place
         puf.weights[0] = 1.0
+    assert np.array_equal(puf.margins(c), before)
+
+
+@pytest.mark.parametrize("make", [
+    lambda sigma: ArbiterPuf(14, stages=64, sigma=sigma),
+    lambda sigma: XorArbiterPuf(15, stages=64, chains=4, sigma=sigma),
+], ids=["arbiter", "xor-4"])
+def test_with_sigma_reads_like_a_puf_built_with_that_sigma(make):
+    noisy = make(0.0).with_sigma(0.3)
+    built = make(0.3)
+    assert puf_to_config(noisy) == puf_to_config(built)
+    for ns in (None, 0, 1, 2):
+        assert np.array_equal(noisy.read(5, 2040, ns), built.read(5, 2040, ns))
 
 
 def test_eval_raw_deterministic_for_same_noise_seed():
@@ -383,9 +446,9 @@ def test_calibrate_sigma_stops_when_the_interval_stops_shrinking(monkeypatch):
     assert len(calls) <= 60  # 1 doubling step and 56 bisection steps; 81 with 80 fixed steps
 
 
-def test_calibrate_sigma_rejects_non_finite_margins():
+def test_calibrate_sigma_rejects_non_finite_margins(monkeypatch):
     puf = ArbiterPuf(2, stages=8)
-    puf.weights = [math.nan] + [1.0] * 8
+    monkeypatch.setattr(puf, "sample_margins", lambda g, count: np.full(count, math.nan))
     with pytest.raises(ValueError, match="finite delay margins"):
         calibrate_sigma(puf, 0.9, trials=1)
 
