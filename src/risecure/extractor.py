@@ -56,9 +56,9 @@ class HelperData:
     def from_json(cls, doc):
         """Parse to_json's form, resolving the code id once; malformed input raises ValueError."""
         try:
-            if doc.get("version") != SCHEMA_VERSION:
-                raise ValueError(f"unsupported helper-data version {doc.get('version')!r}")
-            n = int(doc["n"])
+            if checked_int(doc.get("version"), "helper-data version") != SCHEMA_VERSION:
+                raise ValueError(f"unsupported helper-data version {doc['version']!r}")
+            n = checked_int(doc["n"], "helper-data n", 0)
             raw = bytes.fromhex(doc["aux"])
             code = get_code(doc["code_id"])
         except (AttributeError, KeyError, OverflowError, TypeError) as exc:

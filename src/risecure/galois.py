@@ -11,8 +11,10 @@ is the binary subfield subcode of the Reed-Solomon code over the same field
 (MacWilliams & Sloane, ch. 10), so one formula gives both generators: the
 product of (x - alpha^e) over e = 1..2t, closed under e -> e*2^s mod q-1,
 where s is the symbol width (1 bit for BCH, m bits for RS, for which every
-exponent is its own conjugate). The family encodes with a GF(2) parity
-matrix, decodes by syndromes, Berlekamp-Massey, a Chien search over all q-1
+exponent is its own conjugate). The family encodes through a table of
+packed GF(2) parity words, one row of 16 per 4-bit slice of the message
+(table-driven encoding of a cyclic code, Sarwate, CACM 31(8), 1988),
+decodes by syndromes, Berlekamp-Massey, a Chien search over all q-1
 positions and (for RS) Forney to the codeword within t whenever one exists,
 and owns the bit contract (`code_id`, `encode_bits`, `decode_bits`). For a
 binary code S_2j = S_j^2, so it gathers only the t odd syndromes and runs
@@ -21,6 +23,9 @@ name, its field, t and s.
 """
 
 import numpy as np
+
+# the two 4-bit slices of each byte value, high nibble first
+_NIBBLES = np.array([[v >> 4, v & 15] for v in range(256)], dtype=np.intp)
 
 
 class GF2m:
@@ -171,9 +176,9 @@ class SystematicCode:
 
     family = None  # "bch" or "rs": the first part of code_id
 
-    # read-only parity matrices shared by codes with equal parameters; the
-    # matrix is most of a code's memory (1.8 MB for RS(255,223))
-    _parity_matrices = {}
+    # read-only parity tables shared by codes with equal parameters; the
+    # table is most of a code's memory (223 KB for RS(255,223))
+    _parity_tables = {}
 
     def __init__(self, field: GF2m, t: int, s: int):
         self.field = field
@@ -192,21 +197,29 @@ class SystematicCode:
         r = len(g) - 1
         self.k = self.n - r
         key = (field.m, field.primitive_poly, s, t)
-        if key not in self._parity_matrices:
-            # GF(2) matrix from the k*s message bits to the r*s parity bits:
-            # message symbol i with value 2^b = alpha^b adds alpha^b *
-            # (x^(r+i) mod g) to the parity. float32 is exact for the
-            # encoder's matmul, since every parity sum is at most k*s < 2^24.
-            parity = np.empty((self.k * s, r * s), dtype=np.float32)
+        if key not in self._parity_tables:
+            # GF(2) parity bits of each message bit: message symbol i with
+            # value 2^b = alpha^b adds alpha^b * (x^(r+i) mod g) to the parity.
+            # Zero rows pad the message to whole bytes, zero columns the
+            # parity to whole 64-bit words.
+            parity = np.zeros((-(-self.k * s // 8) * 8, -(-r * s // 64) * 64), dtype=np.uint8)
             rem = g = g[:r]  # x^r mod g
             shifts = np.arange(s - 1, -1, -1)[:, None]
             for i in range(self.k):
                 rows = np.where(rem != 0, field.exp_np[field.log_np[rem] + shifts], 0)
-                parity[i * s : (i + 1) * s] = self._bits(rows)
+                parity[i * s : (i + 1) * s, : r * s] = self._bits(rows)
                 rem = np.concatenate([[0], rem[:-1]]) ^ field.poly_mul([rem[-1]], g)
-            parity.flags.writeable = False
-            self._parity_matrices[key] = parity
-        self._parity = self._parity_matrices[key]
+            # entry [j, v] XORs the packed parity words of the set bits of v
+            # in slice j (most significant first), built by doubling over the
+            # four bits; stored word-major, so word w of [j, v] is [w, 16j + v]
+            packed = np.packbits(parity, axis=1).view(np.uint64).T.reshape(-1, len(parity) // 4, 4)
+            table = np.zeros((*packed.shape[:2], 16), dtype=np.uint64)
+            for b in range(4):
+                table[..., 1 << b : 2 << b] = table[..., : 1 << b] ^ packed[..., 3 - b, None]
+            table.flags.writeable = False
+            self._parity_tables[key] = table.reshape(len(table), -1)
+        self._parity = self._parity_tables[key]
+        self._slice_cols = np.arange(0, self._parity.shape[1], 16)  # first column of each slice
         j = np.arange(1, 2 * t + 1, dtype=np.int64)
         if s == 1:
             # rows alpha^(j*i) for the t odd j; S_j for j = o * 2^a is S_o^(2^a),
@@ -232,19 +245,26 @@ class SystematicCode:
 
     def _bits(self, syms) -> np.ndarray:
         """Symbols to s bits each, most significant first, along the last axis."""
+        if self.s == 8:  # unpackbits gives the same bits in a fraction of the time
+            return np.unpackbits(np.asarray(syms, dtype=np.uint8), axis=-1)
         syms = np.asarray(syms, dtype=np.int64)
         bits = (syms[..., None] >> np.arange(self.s - 1, -1, -1)) & 1
         return bits.reshape(*syms.shape[:-1], -1).astype(np.uint8)
 
     def _symbols(self, bits) -> np.ndarray:
         """Inverse of _bits for a 1-D bit vector."""
+        if self.s == 8:
+            return np.packbits(bits).astype(np.int64)
         bits = np.asarray(bits, dtype=np.int64).reshape(-1, self.s)
         return bits @ (1 << np.arange(self.s - 1, -1, -1))
 
     def _encode_bits(self, msg_bits) -> np.ndarray:
-        """Codeword bits [parity, message] for k_bits uint8 message bits."""
-        parity = (msg_bits.astype(np.float32) @ self._parity) % 2
-        return np.concatenate([parity.astype(np.uint8), msg_bits])
+        """Codeword bits [parity, message] for k_bits uint8 message bits:
+        one table entry per 4-bit slice of the packed message, XORed."""
+        cols = _NIBBLES.take(np.packbits(msg_bits), axis=0).ravel()
+        cols += self._slice_cols
+        parity = np.bitwise_xor.reduce(self._parity.take(cols, axis=1), axis=1).view(np.uint8)
+        return np.concatenate([np.unpackbits(parity, count=(self.n - self.k) * self.s), msg_bits])
 
     def encode_bits(self, msg_bits) -> np.ndarray:
         """Codeword bits for a k_bits message; bits map to symbols MSB first."""

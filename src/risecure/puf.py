@@ -307,8 +307,8 @@ def puf_to_config(puf):
 def puf_from_config(cfg):
     """Rebuild a PUF from puf_to_config's form; malformed input raises ValueError."""
     try:
-        if cfg.get("version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported PUF config version {cfg.get('version')!r}")
+        if checked_int(cfg.get("version"), "PUF config version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported PUF config version {cfg['version']!r}")
         return new_puf(cfg["kind"], cfg["seed"], cfg.get("params"))
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise ValueError(f"malformed PUF config: {exc}") from exc

@@ -283,3 +283,64 @@ def test_one_public_syndrome_call_per_decode(code, symbol_max, weight, monkeypat
     msg = rng.integers(0, symbol_max + 1, code.k)
     out = code.decode(_corrupt(code, code.encode(msg), weight, rng, symbol_max))
     assert np.array_equal(out, msg) and len(calls) == 1
+
+
+_ENCODER_CODES = [
+    BCH, BchCode(m=4, t=3, primitive_poly=0x13), BchCode(m=4, t=2, primitive_poly=0x13),
+    BchCode(m=5, t=3, primitive_poly=0x25), RS, ReedSolomonCode(t=2, m=4, primitive_poly=0x13),
+    ReedSolomonCode(t=4, m=5, primitive_poly=0x25),  # k*s = 115 bits: a part-full last slice
+]
+
+
+def _encoder_digest(code):
+    """SHA-256 over the dtype and bytes of every codeword of a fixed corpus:
+    encode_bits of 200 seeded, the all-zero, the all-one and every single-bit
+    message, then encode of 200 seeded symbol messages."""
+    rng = np.random.default_rng(16)
+    k = code.k_bits
+    msgs = [np.zeros(k, np.uint8), np.ones(k, np.uint8), *np.eye(k, dtype=np.uint8),
+            *rng.integers(0, 2, (200, k), dtype=np.uint8)]
+    words = [code.encode_bits(msg) for msg in msgs]
+    words += [code.encode(rng.integers(0, 1 << code.s, code.k)) for _ in range(200)]
+    h = hashlib.sha256()
+    for word in words:
+        h.update(word.dtype.str.encode() + word.tobytes())
+    return h.hexdigest()
+
+
+# Digests produced by running _encoder_digest, unchanged, against the float32
+# parity-matrix encoder of commit 7f3e2ce, which the slice table replaced.
+@pytest.mark.parametrize("code,digest", zip(_ENCODER_CODES, [
+    "b3acf7567a903a33dde001d7cf5b3b65b96e5557473cb4c26677da63abe7ca0d",
+    "120e10e32b18f43ca8262f405bbe91133bc291cc100e3403213a63548334b602",
+    "5140e26440b86200189898896a06e4af68949103e8351e91c3e867141525a6a2",
+    "1beda6e84bfd0798bec19c2bc3c2ab5bbbca3be023bd989de1f44ef7c09da6f4",
+    "e54e8e48e36c4e5ceb70e1378b58a720ca181abe4422da0d9869bbf578683794",
+    "cd03d8f2679c3dd2eeb4a600cde539b476bae8b04913dbb58fbe62ed4dcd65dd",
+    "707de26583dfa45ed71200620cdc6435dc0aa0de8116659d4a0727699c0e411d",
+]), ids=lambda c: getattr(c, "code_id", None))
+def test_encoder_outputs_are_pinned(code, digest):
+    assert _encoder_digest(code) == digest
+
+
+def test_parity_table_is_read_only_shared_and_small():
+    a, b = ReedSolomonCode(), ReedSolomonCode()
+    assert a._parity is b._parity and not a._parity.flags.writeable
+    with pytest.raises(ValueError):
+        a._parity[0, 0] = 0
+    assert a._parity.nbytes <= 256 * 1024
+
+
+def test_byte_symbol_conversions_match_the_shift_formula():
+    syms = np.arange(256)
+    want = ((syms[:, None] >> np.arange(7, -1, -1)) & 1).astype(np.uint8).ravel()
+    got = RS._bits(syms)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    back = RS._symbols(got)
+    assert back.dtype == np.int64 and np.array_equal(back, syms)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        word = rng.integers(0, 256, RS.n)
+        assert np.array_equal(RS._symbols(RS._bits(word)), word)
+        bits = rng.integers(0, 2, RS.n_bits, dtype=np.uint8)
+        assert np.array_equal(RS._bits(RS._symbols(bits)), bits)

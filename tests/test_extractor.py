@@ -157,6 +157,19 @@ def test_helper_json_rejects_malformed_documents():
         HelperData.from_json(bad)
 
 
+# n and version take integers only: a float, a string or a bool used to
+# load as a truncated or coerced value (127.9 and "127" as n = 127, true and
+# 1.0 as version 1).
+@pytest.mark.parametrize("field,value", [
+    ("n", 127.9), ("n", 127.0), ("n", "127"), ("n", True), ("n", -1),
+    ("version", True), ("version", 1.0), ("version", "1"), ("version", None),
+])
+def test_helper_json_integer_fields_take_integers_only(field, value):
+    helper, _ = enroll(SramPuf(9, p=0.0), 0, get_code("bch"), rng_seed=0)
+    with pytest.raises(ValueError, match=field):
+        HelperData.from_json(dict(helper.to_json(), **{field: value}))
+
+
 def test_aux_is_full_code_length_and_binary():
     for name in ("bch", "rs"):
         code = get_code(name)

@@ -13,6 +13,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +80,14 @@ def test_system_json_raises_only_value_error(doc):
         path = Path(tmp) / "system.json"
         path.write_text(json.dumps(doc))
         _loads_or_value_error(_load_system, path)
+
+
+# A system file's schema version is an integer: true and 1.0 used to pass as
+# version 1 (test_extractor checks the helper file's version and n).
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["true", "1.0", "str"])
+def test_system_version_must_be_an_integer(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.json"
+        path.write_text(json.dumps(dict(_SYSTEMS[0], version=value)))
+        with pytest.raises(ValueError, match="version"):
+            _load_system(path)
