@@ -9,13 +9,14 @@ That asymmetry is the module's headline measurement.
 """
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .extractor import enroll, get_code
 from .hashing import OUTER_CHALLENGE_BITS, compose_response
-from .prng import derive_seed, stream
+from .prng import checked_int, derive_seed, stream
 from .puf import ArbiterPuf, parity_features
 
 MODES = ("raw_arbiter", "hashed_bit")
@@ -56,8 +57,7 @@ def generate_crps(puf, mode, count, seed, code=None):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if count < 100:
-        raise ValueError("datasets below 100 records are not meaningful here")
+    count = checked_int(count, "count", 100)  # smaller datasets are not meaningful here
     g = stream("attack-challenges", seed)
     if mode == "raw_arbiter":
         challenges = g.integers(0, 2, (count, puf.stages), dtype=np.uint8)
@@ -85,10 +85,10 @@ def loss_and_grad(weights, X, y):
 
 def train_logreg(dataset, epochs=400, learning_rate=1.0, seed=0):
     """Full-batch gradient descent on logistic loss; deterministic from seed."""
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if not 0 < learning_rate < np.inf:
-        raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
+    epochs = checked_int(epochs, "epochs", 1)
+    if (not isinstance(learning_rate, numbers.Real) or isinstance(learning_rate, bool)
+            or not 0 < learning_rate < np.inf):
+        raise ValueError(f"learning_rate must be a finite real number > 0, got {learning_rate!r}")
     if len(dataset) < 200:
         raise ValueError("need at least 200 records to train")
     y = dataset.responses.astype(np.float64)
@@ -149,8 +149,8 @@ def attack_datasets(seed, count, stages):
 def run_attack(seed=0, train_count=10000, test_count=2000, epochs=400,
                learning_rate=1.0, stages=64):
     """Train and score the attacker in both modes over the BCH code; returns the full report."""
-    if train_count < 1 or test_count < 1:
-        raise ValueError(f"train and test counts must be >= 1, got {train_count} and {test_count}")
+    train_count = checked_int(train_count, "train_count", 1)
+    test_count = checked_int(test_count, "test_count", 1)
     report = {}
     datasets = attack_datasets(seed, train_count + test_count, stages)
     for mode, data in datasets.items():

@@ -14,7 +14,8 @@ import numpy as np
 
 from .buffer import LookasideBuffer, sample_with_buffer
 from .extractor import enroll, get_code
-from .prng import derive_seed, stream
+from .hashing import OUTER_CHALLENGE_BITS
+from .prng import checked_int, derive_seed, stream
 from .puf import ArbiterPuf, calibrate_sigma
 
 SCHEMA_VERSION = 1
@@ -48,7 +49,7 @@ def _bench_system(code_name, seed):
 
 
 def _outer_challenge(seed):
-    return stream("bench-outer", seed).integers(0, 2, 128, dtype=np.uint8)
+    return stream("bench-outer", seed).integers(0, 2, OUTER_CHALLENGE_BITS, dtype=np.uint8)
 
 
 def _time_legs(puf, code, jobs, outer, legs, passes):
@@ -84,8 +85,8 @@ def run_batch_bench(code_name="rs", batch_sizes=(1, 2, 4, 8, 16), repeats=PASSES
     passes), exact counters, and the buffered/unbuffered speedup. Both legs
     replay identical access sequences and noise seeds.
     """
-    if repeats < 1 or min(batch_sizes) < 1:
-        raise ValueError(f"repeats and batch sizes must be >= 1, got {repeats} and {batch_sizes}")
+    repeats = checked_int(repeats, "repeats", 1)
+    batch_sizes = [checked_int(b, "batch_sizes", 1) for b in batch_sizes]
     code, puf = _bench_system(code_name, seed)
     outer = _outer_challenge(seed)
     num_keys = max(batch_sizes) if distinct_keys else 1
@@ -118,8 +119,7 @@ def run_throughput_bench(code_name="rs", samples=200, seed=0):
     nothing next to a fresh reconstruct, so the measured overhead lands well
     under the hardware figures; both are reported side by side.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = checked_int(samples, "samples", 1)
     code, puf = _bench_system(code_name, seed)
     c0 = int(stream("bench-keys", seed).integers(0, 1 << 63))
     helper, _ = enroll(puf, c0, code, derive_seed("bench-enroll", seed, 0))

@@ -18,9 +18,9 @@ from .attack import attack_datasets, run_attack, write_csv
 from .bench import PASSES, run_batch_bench, run_throughput_bench
 from .buffer import select_output
 from .extractor import HelperData, enroll, get_code
-from .hashing import bits_to_bytes, bytes_to_bits
+from .hashing import OUTER_CHALLENGE_BITS, bits_to_bytes, bytes_to_bits
 from .isa import MachineState, MemoryFault, PufDevice, run
-from .prng import derive_seed, is_integer, stream
+from .prng import checked_int, derive_seed, stream
 from .puf import new_puf, puf_from_config, puf_to_config
 
 HASH = "sha3-256"  # the output hash every system file names; there is no other
@@ -50,9 +50,7 @@ def _load_system(path):
     """Read a system file into (puf, code, buffer capacity); a bad field raises ValueError."""
     cfg = _read_json(path)
     puf = puf_from_config(cfg)
-    capacity = cfg.get("buffer_capacity", 16)
-    if not is_integer(capacity) or capacity < 1:
-        raise ValueError(f"buffer_capacity must be an integer >= 1, got {capacity!r}")
+    capacity = checked_int(cfg.get("buffer_capacity", 16), "buffer_capacity", 1)
     if cfg.get("hash", HASH) != HASH:
         raise ValueError(f"hash must be {HASH!r}, got {cfg['hash']!r}")
     return puf, get_code(cfg.get("code")), capacity
@@ -98,11 +96,11 @@ def cmd_sample(args):
     if mode == 2:
         if args.outer_challenge is not None:
             raw = bytes.fromhex(args.outer_challenge)
-            if len(raw) != 16:
-                raise ValueError("outer challenge must be exactly 32 hex digits")
+            if 8 * len(raw) != OUTER_CHALLENGE_BITS:
+                raise ValueError(f"outer challenge must be {OUTER_CHALLENGE_BITS // 4} hex digits")
             outer = bytes_to_bits(raw)
         else:
-            outer = stream("cli-outer", args.seed).integers(0, 2, 128, dtype=np.uint8)
+            outer = stream("cli-outer", args.seed).integers(0, 2, OUTER_CHALLENGE_BITS, dtype=np.uint8)
     noise_seed = args.noise_seed
     if noise_seed is None:
         noise_seed = derive_seed("cli-read", args.seed)
@@ -222,7 +220,8 @@ def build_parser():
     p_sample.add_argument("--c0", type=int, required=True)
     p_sample.add_argument("--helper", help="helper JSON (corrected/hashed modes)")
     p_sample.add_argument("--mode", choices=("raw", "corrected", "hashed"), required=True)
-    p_sample.add_argument("--outer-challenge", help="128-bit outer challenge as 32 hex digits")
+    p_sample.add_argument("--outer-challenge", help=f"{OUTER_CHALLENGE_BITS}-bit outer challenge "
+                          f"as {OUTER_CHALLENGE_BITS // 4} hex digits")
     p_sample.add_argument("--noise-seed", type=int)
     p_sample.set_defaults(func=cmd_sample)
 

@@ -171,7 +171,8 @@ class SystematicCode:
     each symbol takes s bits, most significant first. A codec names its
     `family`, passes its field, t and symbol width s to __init__, and
     defines its public symbol-level encode, syndromes and decode on the
-    underscore helpers, taking each word through `checked_word`.
+    underscore helpers, taking each word through `checked_word`. `code_id`,
+    `n_bits` and `k_bits` are set once, in __init__.
     """
 
     family = None  # "bch" or "rs": the first part of code_id
@@ -196,6 +197,8 @@ class SystematicCode:
         self.generator = g
         r = len(g) - 1
         self.k = self.n - r
+        self.n_bits, self.k_bits = self.n * s, self.k * s
+        self.code_id = f"{self.family}-{self.n}-{self.k}-{t}"
         key = (field.m, field.primitive_poly, s, t)
         if key not in self._parity_tables:
             # GF(2) parity bits of each message bit: message symbol i with
@@ -230,18 +233,6 @@ class SystematicCode:
             self._powers[0] = 0
         else:  # syndrome exponents: entry [j-1, i] = j*i mod (q-1), j = 1..2t
             self._synd_exps = j[:, None] * np.arange(self.n) % self.n
-
-    @property
-    def code_id(self) -> str:
-        return f"{self.family}-{self.n}-{self.k}-{self.t}"
-
-    @property
-    def n_bits(self) -> int:
-        return self.n * self.s
-
-    @property
-    def k_bits(self) -> int:
-        return self.k * self.s
 
     def _bits(self, syms) -> np.ndarray:
         """Symbols to s bits each, most significant first, along the last axis."""

@@ -37,7 +37,7 @@ import numpy as np
 
 from .buffer import LookasideBuffer, sample_with_buffer
 from .extractor import enroll
-from .hashing import bits_to_bytes, bytes_to_bits
+from .hashing import DIGEST_BITS, OUTER_CHALLENGE_BITS, bits_to_bytes, bytes_to_bits
 from .prng import checked_int, derive_seed, is_integer
 
 CUSTOM_OPCODE = 0b0101011
@@ -215,7 +215,8 @@ class PufDevice:
         self.read_count = 0
 
     def register(self, idx, puf):
-        self.pufs[int(idx)] = puf
+        """Attach puf at idx, an integer in [0, 2^32) as the 32-bit parameter block holds it."""
+        self.pufs[checked_int(idx, "idx", 0, MASK32)] = puf
 
     def enroll_idx(self, idx, c0):
         """Enroll pufs[idx] at inner challenge c0; seeds the buffer."""
@@ -267,7 +268,7 @@ class MachineState:
     def load_words(self, addr, words):
         data = bytearray()
         for i, w in enumerate(words):  # all checked before the one write
-            if not 0 <= int(w) <= MASK32:
+            if not is_integer(w) or not 0 <= w <= MASK32:
                 raise ValueError(f"word {i}: expected a value in [0, 0xffffffff], got {w!r}")
             data += _WORD.pack(int(w))
         self.mem_write(addr, data)
@@ -321,16 +322,16 @@ def _exec_inner_puf_init(state, instr):
 def _exec_outer_puf_chal(state, instr):
     dev = state.device
     out_addr = state.regs[instr.rs2]
-    if not 0 <= out_addr <= len(state.memory) - 32:  # validate the output region up front
+    if not 0 <= out_addr <= len(state.memory) - DIGEST_BITS // 8:  # the output region, up front
         return 2
     try:
-        block = state.mem_read(state.regs[instr.rs1], 20)
+        block = state.mem_read(state.regs[instr.rs1], 4 + OUTER_CHALLENGE_BITS // 8)
     except MemoryFault:
         return 2
     idx = int.from_bytes(block[0:4], "little")
     if idx not in dev.aux_table:
         return 1
-    r3 = dev.sample_r3(idx, bytes_to_bits(block[4:20]))
+    r3 = dev.sample_r3(idx, bytes_to_bits(block[4:]))
     if r3 is None:
         return 4
     state.mem_write(out_addr, bits_to_bytes(r3))

@@ -44,11 +44,13 @@ def checked_int(value, name, lo=None, hi=None) -> int:
 
 
 def _domain_hash(tag: str, seeds) -> bytes:
+    """SHA-256 over the tag and each seed's low 64 bits; a seed that is not an integer
+    raises ValueError, so every seed of stream and derive_seed is checked here."""
     h = hashlib.sha256()
     h.update(tag.encode("utf-8"))
     h.update(b"\x00")
     for s in seeds:
-        h.update(struct.pack("<Q", int(s) & MASK64))
+        h.update(struct.pack("<Q", checked_int(s, "seed") & MASK64))
     return h.digest()
 
 

@@ -17,7 +17,7 @@ from .extractor import enroll, get_code, reconstruct
 from .hashing import compose_response
 from .isa import (MachineState, PufDevice, asm_ebreak, asm_inner_puf_init,
                   asm_outer_puf_chal, decode, encode_fields, li32, run)
-from .prng import splitmix64, stream
+from .prng import checked_int, splitmix64, stream
 from .puf import ArbiterPuf, SramPuf, parity_features
 
 SHA3_256_ABC = "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"
@@ -201,7 +201,11 @@ CHECKS = [
 
 
 def run_selftest(seed=0):
-    """Run every check; returns (all_passed, [(name, ok, detail), ...])."""
+    """Run every check; returns (all_passed, [(name, ok, detail), ...]).
+
+    A seed that is not an integer raises ValueError before any check runs.
+    """
+    seed = checked_int(seed, "seed")
     results = []
     for name, fn in CHECKS:
         try:

@@ -108,3 +108,34 @@ def test_run_attack_report_shape_and_determinism():
         assert 0.0 <= a[mode]["test_accuracy"] <= 1.0
     assert a["accuracy_gap"] == pytest.approx(
         a["raw_arbiter"]["test_accuracy"] - a["hashed_bit"]["test_accuracy"])
+
+
+# counts and seeds take integers only; each of these raised a bare TypeError
+# or stood in for the integer it truncates to
+@pytest.mark.parametrize("call,name", [
+    (lambda: train_logreg(generate_crps(_arbiter(5), "raw_arbiter", 300, seed=0), epochs=2.5),
+     "epochs"),
+    (lambda: run_attack(train_count=200.5, test_count=100, epochs=1), "train_count"),
+    (lambda: run_attack(train_count=200, test_count="100", epochs=1), "test_count"),
+    (lambda: generate_crps(_arbiter(5), "raw_arbiter", 100.5, seed=0), "count"),
+    (lambda: run_attack(seed=1.5, train_count=200, test_count=100, epochs=1), "seed"),
+    (lambda: generate_crps(_arbiter(5), "raw_arbiter", 200, seed=1.5), "seed"),
+], ids=["epochs-float", "train-count-float", "test-count-str", "crp-count-float",
+        "attack-seed-float", "crp-seed-float"])
+def test_non_integer_counts_and_seeds_raise_value_error_naming_them(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+@pytest.mark.parametrize("rate", ["1", None, True, 0, -0.5, float("inf"), float("nan")])
+def test_learning_rate_must_be_a_finite_positive_real(rate):
+    data = generate_crps(_arbiter(5), "raw_arbiter", 300, seed=0)
+    with pytest.raises(ValueError, match="learning_rate"):
+        train_logreg(data, epochs=1, learning_rate=rate)
+
+
+def test_numpy_learning_rate_trains_like_the_float():
+    data = generate_crps(_arbiter(5), "raw_arbiter", 300, seed=0)
+    a = train_logreg(data, epochs=5, learning_rate=np.float32(0.5), seed=1)
+    b = train_logreg(data, epochs=5, learning_rate=0.5, seed=1)
+    assert np.array_equal(a.weights, b.weights)

@@ -46,3 +46,16 @@ def test_throughput_report_is_consistent():
     assert rep["hash_overhead_pct"] == pytest.approx(want)
     assert rep["fpga_reference"] is FPGA_REFERENCE["bch"]
     assert rep["samples"] == 30
+
+
+# each of these passed the old `< 1` check and then raised a bare TypeError
+@pytest.mark.parametrize("call,name", [
+    (lambda: run_batch_bench("bch", batch_sizes=(1,), repeats=1.5), "repeats"),
+    (lambda: run_batch_bench("bch", batch_sizes=(2.5,), repeats=1), "batch_sizes"),
+    (lambda: run_batch_bench("bch", batch_sizes=(1, 0), repeats=1), "batch_sizes"),
+    (lambda: run_throughput_bench("bch", samples=2.5), "samples"),
+    (lambda: run_throughput_bench("bch", samples=True), "samples"),
+], ids=["repeats-float", "batch-size-float", "batch-size-zero", "samples-float", "samples-bool"])
+def test_bench_counts_raise_value_error_naming_them(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()

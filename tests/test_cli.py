@@ -277,6 +277,16 @@ def _hex_words(base, words):
     return "".join(f"{base + 4 * i:x}: {w:08x}\n" for i, w in enumerate(words))
 
 
+def test_exec_with_an_index_outside_32_bits_exits_1(tmp_path, capsys):
+    system = _new_system(tmp_path)
+    prog = tmp_path / "halt.hex"
+    prog.write_text("0: 00100073\n")  # ebreak
+    capsys.readouterr()
+    rc = main(["exec", "--program", str(prog), "--system", str(system), "--idx", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and "error: idx must be in [0, 4294967295]" in captured.err
+
+
 def test_exec_with_a_system_runs_both_custom_instructions(tmp_path, capsys):
     system = _new_system(tmp_path)
     capsys.readouterr()

@@ -390,6 +390,16 @@ def test_non_integer_machine_parameters_raise_value_error_naming_them(call, name
         call()
 
 
+# the parameter block holds idx in 32 bits, so no program reaches another index;
+# each of these registered a truncated or unreachable index
+@pytest.mark.parametrize("idx", [1.5, "3", -1, 1 << 32])
+def test_register_takes_a_32_bit_integer_index_only(idx):
+    dev = PufDevice(get_code("bch"))
+    with pytest.raises(ValueError, match="idx"):
+        dev.register(idx, SramPuf(1))
+    assert dev.pufs == {}
+
+
 def test_numpy_integer_machine_parameters_are_accepted():
     st = MachineState(memory_size=np.int64(64))
     st.load_words(0, [asm_jal(0, 0)])
@@ -419,7 +429,7 @@ def test_load_hex_program_and_dump():
     assert len(d["memory_sha256"]) == 64
 
 
-@pytest.mark.parametrize("bad", [-1, 1 << 32])
+@pytest.mark.parametrize("bad", [-1, 1 << 32, 1.5, True])
 def test_load_words_rejects_a_word_outside_32_bits_before_writing(bad):
     st = MachineState(memory_size=64)
     with pytest.raises(ValueError, match=r"word 1: .*0xffffffff"):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from risecure.prng import GOLDEN_GAMMA, derive_seed, splitmix64, stream
 
@@ -52,3 +53,22 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed("child", 1, 2) == derive_seed("child", 1, 2)
     seen = {derive_seed("child", i) for i in range(1000)}
     assert len(seen) == 1000
+
+
+# every seed of stream and derive_seed is checked where it is hashed; each of
+# these stood in for the integer it truncates to
+@pytest.mark.parametrize("call", [
+    lambda: stream("x", 1.5),
+    lambda: stream("x", 1, "2"),
+    lambda: derive_seed("x", True),
+    lambda: derive_seed("x", 1, np.float64(2.0)),
+], ids=["stream-float", "stream-str", "derive-bool", "derive-numpy-float"])
+def test_non_integer_seeds_raise_value_error_naming_seed(call):
+    with pytest.raises(ValueError, match="seed"):
+        call()
+
+
+def test_integer_seeds_hash_by_their_low_64_bits():
+    assert derive_seed("x", np.int64(5), np.uint8(7)) == derive_seed("x", 5, 7)
+    assert derive_seed("x", -1) == derive_seed("x", (1 << 64) - 1)
+    assert np.array_equal(stream("x", 1 << 64).integers(0, 256, 8), stream("x", 0).integers(0, 256, 8))

@@ -486,3 +486,43 @@ def test_config_roundtrip():
         else:
             c = stream("t", 9).integers(0, 2, (20, puf.stages), dtype=np.uint8)
             assert np.array_equal(clone.eval_bits(c, 1), puf.eval_bits(c, 1))
+
+
+# Standard PUF quality metrics (Maiti, Gunreddy and Schaumont, 2013) over 32
+# devices x 64 challenges x 127-bit reference reads: uniformity is the mean
+# over devices of each device's fraction of ones, uniqueness the mean
+# fractional Hamming distance over the 496 device pairs. The bounds were
+# fixed before the first run, from seeds 1-5; 20261017 is held out.
+_QUALITY_DEVICES, _QUALITY_CHALLENGES, _QUALITY_BITS = 32, 64, 127
+
+
+def _quality_reads(kind, seed):
+    """(devices, challenges * bits) noiseless responses of one PUF kind."""
+    c0s = stream("quality-challenges", seed).integers(0, 1 << 63, _QUALITY_CHALLENGES)
+    reads = []
+    for d in range(_QUALITY_DEVICES):
+        dev_seed = derive_seed("quality-puf", seed, d)
+        if kind == "sram":
+            puf = SramPuf(dev_seed, num_blocks=_QUALITY_CHALLENGES, block_bits=_QUALITY_BITS)
+            challenges = range(_QUALITY_CHALLENGES)
+        else:
+            puf = ArbiterPuf(dev_seed) if kind == "arbiter" else XorArbiterPuf(dev_seed, chains=4)
+            challenges = c0s
+        reads.append(np.concatenate([reference_response(puf, c0, _QUALITY_BITS)
+                                     for c0 in challenges]))
+    return np.array(reads)
+
+
+@pytest.mark.parametrize("seed", [1, 20261017])
+@pytest.mark.parametrize("kind,uniformity_bounds", [
+    ("arbiter", (0.46, 0.54)), ("xor", (0.49, 0.51)), ("sram", (0.49, 0.51)),
+], ids=["arbiter", "xor", "sram"])
+def test_puf_uniformity_and_uniqueness_are_pinned(kind, uniformity_bounds, seed):
+    reads = _quality_reads(kind, seed)
+    uniformity = reads.mean(axis=1).mean()
+    i, j = np.triu_indices(_QUALITY_DEVICES, 1)
+    assert len(i) == 496
+    uniqueness = (reads[i] != reads[j]).mean(axis=1).mean()
+    lo, hi = uniformity_bounds
+    assert lo <= uniformity <= hi, uniformity
+    assert 0.49 <= uniqueness <= 0.51, uniqueness

@@ -1,3 +1,5 @@
+import pytest
+
 from risecure.selftest import run_selftest
 
 
@@ -21,3 +23,9 @@ def test_selftest_is_deterministic():
     a = run_selftest(seed=3)
     b = run_selftest(seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "0"])
+def test_non_integer_seed_raises_before_any_check_runs(seed):
+    with pytest.raises(ValueError, match="seed"):
+        run_selftest(seed)
