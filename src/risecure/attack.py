@@ -9,14 +9,13 @@ That asymmetry is the module's headline measurement.
 """
 
 import csv
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .extractor import enroll, get_code
 from .hashing import OUTER_CHALLENGE_BITS, compose_response
-from .prng import checked_int, derive_seed, stream
+from .prng import checked_int, derive_seed, is_real, stream
 from .puf import ArbiterPuf, parity_features
 
 MODES = ("raw_arbiter", "hashed_bit")
@@ -86,8 +85,7 @@ def loss_and_grad(weights, X, y):
 def train_logreg(dataset, epochs=400, learning_rate=1.0, seed=0):
     """Full-batch gradient descent on logistic loss; deterministic from seed."""
     epochs = checked_int(epochs, "epochs", 1)
-    if (not isinstance(learning_rate, numbers.Real) or isinstance(learning_rate, bool)
-            or not 0 < learning_rate < np.inf):
+    if not is_real(learning_rate) or not 0 < learning_rate < np.inf:
         raise ValueError(f"learning_rate must be a finite real number > 0, got {learning_rate!r}")
     if len(dataset) < 200:
         raise ValueError("need at least 200 records to train")

@@ -18,21 +18,27 @@ The arbiter kinds compute on packed challenge words: each sub-challenge is
 ceil(s/64) uint64 words, stage 64j + k in bit k of word j. Feature i is
 (-1) raised to the XOR of bits i..s-1, so a few shift-XORs per word turn the
 words into suffix-parity words (Warren, Hacker's Delight, 2nd ed., 5-2).
-Each chain keeps a per-byte table of its weights, so a margin is one table
-entry per byte of suffix parity plus the bias; no float feature matrix is
-built on a read. ``parity_features`` unpacks the same words for callers
-that need the {-1,+1} matrix.
+A PUF keeps one stacked per-byte table of its chains' weights (one chain for
+an arbiter, k for a XOR-arbiter), so a margin is one table entry per byte of
+suffix parity plus the bias, gathered one byte column at a time for all
+chains, in blocks of challenges that keep the gather buffer under a fixed
+size; no float feature matrix is built on a read. The entries are summed in
+place in numpy's pairwise order for a contiguous row (at 64 stages the tree
+((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7))), so every width gives the bits of a
+plain row sum. ``parity_features`` unpacks the same words for callers that
+need the {-1,+1} matrix.
 """
 
 import math
-import numbers
 
 import numpy as np
 
-from .prng import GOLDEN_GAMMA, MASK64, checked_int, derive_seed, is_integer, splitmix64, stream
+from .prng import (GOLDEN_GAMMA, MASK64, checked_int, derive_seed, is_integer, is_real,
+                   splitmix64, stream)
 
 SCHEMA_VERSION = 1
 TRIAL_BITS = 127  # bits per arbiter read in reliability trials and calibration samples
+_GATHER_BUDGET = 1 << 16  # table entries one margin gather holds: 512 KB of doubles
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -45,10 +51,8 @@ def _challenge_words(c0, count, stages):
     if not is_integer(c0) or not 0 <= c0 < 1 << 64:
         raise ValueError(f"inner challenge c0 must be an integer in [0, 2^64), got {c0!r}")
     words_per = -(-stages // 64)
-    idx = np.arange(count * words_per, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        words = splitmix64(np.uint64(c0) + (idx + np.uint64(1)) * np.uint64(GOLDEN_GAMMA))
-    return words.reshape(count, words_per)
+    x = np.arange(1, count * words_per + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    return splitmix64(x + np.uint64(c0)).reshape(count, words_per)  # the sum wraps mod 2^64
 
 
 def _pack_words(bits):
@@ -74,9 +78,8 @@ def _suffix_parity(words, stages):
     Delight, 2nd ed., 5-2); each earlier word then flips by the parity of
     all later words, whose bit 0 holds it.
     """
-    mask = np.full(words.shape[1], MASK64, dtype=np.uint64)
-    mask[-1:] >>= np.uint64(64 * len(mask) - stages)  # a slice: zero stages have no last word
-    x = words & mask
+    x = words.copy()
+    x[:, -1:] &= np.uint64(MASK64 >> (64 * x.shape[1] - stages))  # zero stages: no last word
     for shift in _PREFIX_SHIFTS:
         x ^= x >> shift
     if x.shape[1] > 1:
@@ -121,7 +124,7 @@ class SramPuf:
     kind = "sram"
 
     def __init__(self, seed, num_blocks=16, block_bits=127, p=0.05):
-        if not isinstance(p, numbers.Real) or not 0 <= p < 0.5:
+        if not is_real(p) or not 0 <= p < 0.5:
             raise ValueError(f"flip probability p must be a number in [0, 0.5), got {p!r}")
         self.seed = checked_int(seed, "seed")
         self.num_blocks = checked_int(num_blocks, "num_blocks", 1)
@@ -161,12 +164,55 @@ class SramPuf:
         return {"num_blocks": self.num_blocks, "block_bits": self.block_bits, "p": self.p}
 
 
+def _byte_sum(g):
+    """The sum over axis 0 of (bytes, chains, N) table entries, bit for bit numpy's row sum.
+
+    numpy sums a contiguous row of n <= 128 doubles pairwise (Higham, SIAM J.
+    Sci. Comput. 14(4), 1993): for n >= 8, into eight running sums, one per
+    index mod 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    last n mod 8 entries one at a time; a shorter row left to right. That
+    order is spelled out here in place, overwriting g; at 64 stages (8 bytes)
+    it is the tree alone. A table has at most 128 bytes, so numpy's halving
+    of longer rows never applies.
+    """
+    n = len(g)
+    for i in range(8, n - n % 8, 8):
+        g[:8] += g[i:i + 8]
+    r = list(g[:8])  # the running sums as views, made once: indexing g per add costs more
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)) if n >= 8 else ():
+        r[a] += r[b]  # neighbours, then pairs of pairs, then the two halves
+    for i in range(max(n - n % 8, 1), n):
+        r[0] += g[i]
+    return r[0]
+
+
 class _DelayPuf:
     """Read path shared by the arbiter kinds: c0 expands into n_bits sub-challenges.
 
     The kinds compute on suffix-parity words (see _suffix_parity), never on
-    float feature matrices.
+    float feature matrices. An instance holds one stacked table of all its
+    chains' per-byte weight rows, ``_table[b, k, v]`` = chain k's
+    w[8b:8b+8] . (1 - 2*bits(v)), their biases ``_bias`` as a (chains, 1)
+    column and the chains' seeds, which key their weights and their noise;
+    an ArbiterPuf is one chain.
     """
+
+    def __init__(self, stages, sigma, chain_seeds):
+        """Check stages and sigma, draw each chain's stages + 1 weights from its seed
+        and build the stacked table from them."""
+        # the bound caps the stages+1 weights a config can allocate
+        self.stages = checked_int(stages, "stage count", 1, 1024)
+        if not is_real(sigma) or not 0 <= sigma < math.inf:
+            # also rejects NaN, which would read noise-free
+            raise ValueError(f"noise sigma must be finite and >= 0, got {sigma!r}")
+        self.sigma = float(sigma)
+        self._chain_seeds = tuple(chain_seeds)
+        self._weights = np.array([stream("arbiter-weights", seed).standard_normal(self.stages + 1)
+                                  for seed in self._chain_seeds])
+        self._weights.flags.writeable = False
+        padded = np.pad(self._weights[:, :self.stages], ((0, 0), (0, -self.stages % 8)))
+        self._table = np.stack([row.reshape(-1, 8) @ _BYTE_SIGNS.T for row in padded], axis=1)
+        self._bias = self._weights[:, self.stages:]
 
     def read(self, c0, n_bits, noise_seed=None):
         """n_bits response bits for inner challenge c0; noiseless when noise_seed is None."""
@@ -200,6 +246,37 @@ class _DelayPuf:
         """The PUF of the same kind, seed and params, but with noise sigma."""
         return type(self)(self.seed, **{**self.params(), "sigma": sigma})
 
+    def _margins(self, parity):
+        """Every chain's noiseless delay differences w . Phi for suffix-parity words, (chains, N).
+
+        One gather per byte column serves all chains, over blocks of challenges
+        small enough that the gather buffer holds at most _GATHER_BUDGET
+        entries (a block is at least 8 challenges at 1024 stages and 64
+        chains); the bias is added after the byte entries are summed (see
+        _byte_sum).
+        """
+        block = _GATHER_BUDGET // (self._table.size // 256)  # entries per challenge: bytes x chains
+        d = np.empty((len(self._bias), len(parity)))
+        for lo in range(0, len(parity), block):
+            part = parity[lo:lo + block]
+            g = np.empty(self._table.shape[:2] + (len(part),))
+            # a byte never clips, and the default mode="raise" would copy into `out` through a buffer
+            for rows, column, out in zip(self._table, _bytes(part).T.astype(np.intp, order="C"), g):
+                rows.take(column, axis=1, out=out, mode="clip")
+            np.add(_byte_sum(g), self._bias, out=d[:, lo:lo + block])
+        return d
+
+    def respond(self, parity, noise_seed=None):
+        """Response bits for suffix-parity words, the XOR over the chains; noiseless when
+        noise_seed is None, else each chain adds its own sigma-scaled normal noise."""
+        d = self._margins(parity)
+        if noise_seed is not None and self.sigma > 0:
+            # bit-equal to normal(0.0, sigma), which draws 0.0 + sigma*z: only a zero's sign differs
+            for row, seed in zip(d, self._chain_seeds):
+                row += self.sigma * stream("arbiter-noise", seed, noise_seed).standard_normal(len(row))
+        bits = (d > 0).view(np.uint8)
+        return bits[0] if len(bits) == 1 else np.bitwise_xor.reduce(bits, axis=0)
+
 
 _BYTE_SIGNS = 1.0 - 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
                                         bitorder="little")  # (256, 8): row v holds 1 - 2*bit_k(v)
@@ -209,7 +286,7 @@ class ArbiterPuf(_DelayPuf):
     """Strong PUF: additive delay model with seeded standard-normal weights.
 
     The weights are drawn from the seed once, and margins are read from a
-    per-byte table built from them at the same time: entry [b, v] is
+    per-byte table built from them at the same time: entry [b, 0, v] is
     w[8b:8b+8] . (1 - 2*bits(v)), so a margin is one lookup per byte of
     suffix parity plus the bias w[stages]. `weights` is read-only and has
     no setter, so an instance stays the one its (seed, params) define.
@@ -219,71 +296,45 @@ class ArbiterPuf(_DelayPuf):
 
     def __init__(self, seed, stages=64, sigma=0.0):
         self.seed = checked_int(seed, "seed")
-        # the bound caps the stages+1 weights a config can allocate
-        self.stages = checked_int(stages, "stage count", 1, 1024)
-        if not isinstance(sigma, numbers.Real) or not 0 <= sigma < math.inf:
-            # also rejects NaN, which would read noise-free
-            raise ValueError(f"noise sigma must be finite and >= 0, got {sigma!r}")
-        self.sigma = float(sigma)
-        weights = stream("arbiter-weights", self.seed).standard_normal(self.stages + 1)
-        weights.flags.writeable = False
-        padded = np.zeros(8 * -(-self.stages // 8))
-        padded[:self.stages] = weights[:self.stages]
-        self._weights = weights
-        self._table = padded.reshape(-1, 8) @ _BYTE_SIGNS.T
-        self._rows = 256 * np.arange(len(self._table))  # flat offset of each byte's row
+        super().__init__(stages, sigma, (self.seed,))
 
     @property
     def weights(self):
         """The stages + 1 seeded delay weights, the bias last; read-only."""
-        return self._weights
-
-    def _margin(self, parity):
-        """Noiseless delay differences w . Phi for suffix-parity words."""
-        parity_bytes = _bytes(parity)[:, :len(self._rows)]
-        return self._table.take(parity_bytes + self._rows).sum(axis=1) + self._weights[self.stages]
+        return self._weights[0]
 
     def margins(self, challenges):
         """Noiseless delay differences w . Phi(c) for a batch of challenges."""
-        return self._margin(self.features(challenges))
-
-    def respond(self, parity, noise_seed=None):
-        """Response bits for suffix-parity words; noiseless when noise_seed is None."""
-        d = self._margin(parity)
-        if noise_seed is not None and self.sigma > 0:
-            d = d + stream("arbiter-noise", self.seed, noise_seed).normal(0.0, self.sigma, len(d))
-        return (d > 0).astype(np.uint8)
+        return self._margins(self.features(challenges))[0]
 
     def params(self):
         return {"stages": self.stages, "sigma": self.sigma}
 
 
 class XorArbiterPuf(_DelayPuf):
-    """XOR of k independent arbiter chains sharing the challenge."""
+    """XOR of k independent arbiter chains sharing the challenge.
+
+    Chain i is the ArbiterPuf of seed derive_seed("xor-chain", seed, i); the
+    PUF reads all of them from its one stacked table and keeps no chain
+    objects (see `chains`).
+    """
 
     kind = "xor"
 
     def __init__(self, seed, stages=64, chains=4, sigma=0.0):
         self.num_chains = checked_int(chains, "chain count", 1, 64)
         self.seed = checked_int(seed, "seed")
-        self.chains = [
-            ArbiterPuf(derive_seed("xor-chain", self.seed, i), stages, sigma)
-            for i in range(self.num_chains)
-        ]
-        self.stages = self.chains[0].stages  # the chains check stages and sigma
-        self.sigma = self.chains[0].sigma
+        super().__init__(stages, sigma,
+                         [derive_seed("xor-chain", self.seed, i) for i in range(self.num_chains)])
+
+    @property
+    def chains(self):
+        """The chains as standalone ArbiterPufs, built anew on each access."""
+        return [ArbiterPuf(seed, self.stages, self.sigma) for seed in self._chain_seeds]
 
     def margins(self, challenges):
         """Per-chain noiseless margins, stacked as (N, chains)."""
-        parity = self.features(challenges)
-        return np.stack([chain._margin(parity) for chain in self.chains], axis=1)
-
-    def respond(self, parity, noise_seed=None):
-        """XOR of the chains' bits for suffix-parity words; each chain draws its own noise."""
-        acc = np.zeros(len(parity), dtype=np.uint8)
-        for chain in self.chains:
-            acc ^= chain.respond(parity, noise_seed)
-        return acc
+        return self._margins(self.features(challenges)).T
 
     def params(self):
         return {"stages": self.stages, "chains": self.num_chains, "sigma": self.sigma}
@@ -392,7 +443,7 @@ def calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
     reliability is above the target and the next double's is not, or the
     reverse.
     """
-    if not isinstance(target_reliability, numbers.Real) or not 0.5 < target_reliability <= 1.0:
+    if not is_real(target_reliability) or not 0.5 < target_reliability <= 1.0:
         raise ValueError(f"target reliability must be in (0.5, 1], got {target_reliability!r}")
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"calibration needs at least 1 trial: trials must be an integer >= 1, "

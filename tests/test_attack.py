@@ -127,7 +127,8 @@ def test_non_integer_counts_and_seeds_raise_value_error_naming_them(call, name):
         call()
 
 
-@pytest.mark.parametrize("rate", ["1", None, True, 0, -0.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("rate", ["1", None, True, pytest.param(np.bool_(True), id="numpy-True"),
+                                  0, -0.5, float("inf"), float("nan")])
 def test_learning_rate_must_be_a_finite_positive_real(rate):
     data = generate_crps(_arbiter(5), "raw_arbiter", 300, seed=0)
     with pytest.raises(ValueError, match="learning_rate"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from risecure.prng import GOLDEN_GAMMA, derive_seed, splitmix64, stream
+from risecure.prng import GOLDEN_GAMMA, _domain_hash, _PhiloxKey, derive_seed, splitmix64, stream
 
 
 def splitmix64_scalar(state, count):
@@ -31,6 +31,42 @@ def test_splitmix64_matches_scalar_reference():
         with np.errstate(over="ignore"):
             got = splitmix64(np.uint64(seed) + idx * np.uint64(GOLDEN_GAMMA))
         assert [int(v) for v in got] == ref
+
+
+def test_splitmix64_leaves_its_input_unchanged_and_takes_scalars():
+    x = np.arange(100, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    before = x.copy()
+    out = splitmix64(x)
+    assert np.array_equal(x, before) and not np.shares_memory(out, x)
+    assert [int(v) for v in out[:3]] == [int(splitmix64(int(v))) for v in x[:3]]
+    for zero in (0, np.uint64(0), np.array(0, dtype=np.uint64)):
+        assert int(splitmix64(zero)) == 0xE220A8397B1DCDAF  # the selftest's vector
+
+
+@pytest.mark.parametrize("tag", ["arbiter-noise", "sram-read", "", "x" * 70])
+def test_stream_is_the_philox_stream_keyed_by_the_domain_hash(tag):
+    """stream() must build exactly Philox(key=<first 16 hash bytes, little-endian>).
+
+    A numpy that seeds Philox from its seed sequence differently would change
+    every stream; this fails first.
+    """
+    for i in range(100):
+        seeds = (i, (i * GOLDEN_GAMMA) & (2**64 - 1))[: 1 + i % 2]
+        key = int.from_bytes(_domain_hash(tag, seeds)[:16], "little")
+        got, ref = stream(tag, *seeds), np.random.Generator(np.random.Philox(key=key))
+        np.testing.assert_equal(got.bit_generator.state, ref.bit_generator.state)
+        assert np.array_equal(got.standard_normal(9), ref.standard_normal(9))
+        assert np.array_equal(got.integers(0, 1 << 63, 9), ref.integers(0, 1 << 63, 9))
+        assert np.array_equal(got.random(9), ref.random(9))
+
+
+@pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (2, np.uint32), (1, np.uint64),
+                                           (4, np.uint64), (2, np.int64)])
+def test_philox_key_answers_only_the_request_philox_makes(n_words, dtype):
+    digest = (1).to_bytes(8, "little") + (2).to_bytes(8, "little") + bytes(16)
+    assert np.array_equal(_PhiloxKey(digest).generate_state(2, np.uint64), [1, 2])
+    with pytest.raises(RuntimeError, match="Philox asked for"):
+        _PhiloxKey(digest).generate_state(n_words, dtype)
 
 
 def test_stream_is_deterministic():

@@ -1,13 +1,15 @@
 import hashlib
+import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from risecure.prng import GOLDEN_GAMMA, derive_seed, splitmix64, stream
-from risecure.puf import (TRIAL_BITS, ArbiterPuf, SramPuf, XorArbiterPuf,
+from risecure.puf import (TRIAL_BITS, ArbiterPuf, SramPuf, XorArbiterPuf, _byte_sum,
                           _expected_reliability, _flip_probability, calibrate_sigma,
                           eval_raw, expand_challenge, measure_reliability, new_puf,
                           parity_features, puf_from_config, puf_to_config,
@@ -146,6 +148,30 @@ def test_non_integer_parameters_raise_value_error_naming_them(call, name):
         call()
 
 
+# Every real parameter takes Python and numpy reals only: a bool is not a
+# number here. Each of these used to read True as 1.0 and False as 0.0.
+@pytest.mark.parametrize("call,name", [
+    (lambda: ArbiterPuf(1, sigma=True), "sigma"),
+    (lambda: ArbiterPuf(1, sigma=np.bool_(True)), "sigma"),
+    (lambda: XorArbiterPuf(1, sigma=True), "sigma"),
+    (lambda: SramPuf(1, p=False), "probability p"),
+    (lambda: SramPuf(1, p=np.bool_(False)), "probability p"),
+    (lambda: calibrate_sigma(ArbiterPuf(1), True, trials=10), "target reliability"),
+    (lambda: puf_from_config(json.loads(
+        '{"version": 1, "kind": "arbiter", "seed": 1, "params": {"sigma": true}}')), "sigma"),
+], ids=["arbiter-sigma", "arbiter-sigma-numpy", "xor-sigma", "sram-p", "sram-p-numpy",
+        "calibrate-target", "json-sigma"])
+def test_bool_reals_raise_value_error_naming_them(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_numpy_reals_read_like_python_floats():
+    assert np.array_equal(ArbiterPuf(1, sigma=np.float32(0.25)).read(3, 127, 4),
+                          ArbiterPuf(1, sigma=0.25).read(3, 127, 4))
+    assert SramPuf(1, p=np.float64(0.1)).p == 0.1
+
+
 def test_numpy_integer_parameters_read_like_python_ints():
     i = np.int64
     sram = SramPuf(i(1), num_blocks=np.int32(4), block_bits=np.uint16(127))
@@ -195,6 +221,70 @@ def test_xor_puf_is_xor_of_its_chains():
     for chain in puf.chains:
         manual ^= chain.eval_bits(c, None)
     assert np.array_equal(puf.eval_bits(c, None), manual)
+
+
+@pytest.mark.parametrize("n_bits", [127, 2040])
+def test_noisy_xor_read_is_xor_of_its_chains_noisy_reads(n_bits):
+    puf = XorArbiterPuf(11, stages=64, chains=4, sigma=0.3)
+    for c0, noise_seed in ((0, 0), (0x0123456789ABCDEF, 7), ((1 << 64) - 1, 2**63)):
+        manual = np.zeros(n_bits, dtype=np.uint8)
+        for chain in puf.chains:
+            manual ^= chain.read(c0, n_bits, noise_seed)
+        assert np.array_equal(puf.read(c0, n_bits, noise_seed), manual)
+
+
+def test_xor_margins_are_the_column_stack_of_its_chains_margins():
+    puf = XorArbiterPuf(12, stages=64, chains=4)
+    c = stream("t", 5).integers(0, 2, (300, 64), dtype=np.uint8)
+    stacked = np.column_stack([chain.margins(c) for chain in puf.chains])
+    assert np.array_equal(puf.margins(c), stacked)
+    assert "chains" not in vars(puf)  # built on access: each weight row is stored once
+    for k, chain in enumerate(puf.chains):  # chain k is slice k of the stacked table
+        assert np.array_equal(chain._table[:, 0], puf._table[:, k])
+
+
+@pytest.mark.parametrize("stages,chains", [(64, 64), (1024, 3), (1000, 64)])
+def test_margins_gathered_in_blocks_are_the_row_sums(stages, chains):
+    """Past the gather budget, the blocked margins equal each chain's table row sum plus bias."""
+    puf = XorArbiterPuf(16, stages=stages, chains=chains)
+    c = stream("blocks", stages).integers(0, 2, (300, stages), dtype=np.uint8)
+    parity_bytes = puf.features(c).view(np.uint8)[:, :len(puf._table)]
+    # (chains, N, bytes), contiguous, so each row is summed as numpy sums a row
+    entries = np.ascontiguousarray(puf._table.transpose(1, 0, 2)[:, np.arange(len(puf._table)),
+                                                                 parity_bytes])
+    assert np.array_equal(puf.margins(c), (entries.sum(axis=-1) + puf._bias).T)
+
+
+def test_wide_xor_read_holds_a_bounded_gather_buffer():
+    """A 2040-bit read at 1024 stages and 64 chains gathers 128 x 64 x 2040 entries in all,
+    134 MB as one buffer; blocked, the read's peak stays a few MB."""
+    puf = XorArbiterPuf(17, stages=1024, chains=64, sigma=0.1)
+    tracemalloc.start()
+    try:
+        puf.read(5, 2040, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("width,rows", [(8, 10**5)] + [(w, 300) for w in range(1, 129) if w != 8])
+def test_byte_sum_is_numpy_row_sum_bit_for_bit(width, rows):
+    """The in-place pairwise order equals np.sum(axis=1) on every row of every table width.
+
+    The exponents spread over 2^-20..2^20, so a different order of the adds
+    (left to right, say) rounds differently on many rows.
+    """
+    g = stream("byte-sum", width)
+    table = g.standard_normal((rows, width)) * 2.0 ** g.integers(-20, 21, (rows, width))
+    got = _byte_sum(np.ascontiguousarray(table.T)[:, None])[0]
+    assert np.array_equal(got, table.sum(axis=1)), (
+        f"numpy {np.__version__} sums a {width}-element row in another order")
+    if width == 8:
+        left_to_right = table[:, 0].copy()
+        for k in range(1, 8):
+            left_to_right += table[:, k]
+        assert not np.array_equal(left_to_right, got)  # the rows tell orders apart
 
 
 def test_challenge_expansion_is_splitmix_sequence():
