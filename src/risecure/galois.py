@@ -2,24 +2,29 @@
 
 The field is represented through exp/log tables built from a primitive
 polynomial. Berlekamp-Massey adds logs from the list tables, and the
-polynomial helpers and the Chien search gather from numpy copies.
-Polynomials over the field are numpy int arrays in ascending order, so
-``poly[i]`` is the coefficient of x^i.
+polynomial product gathers from numpy copies. Polynomials over the field
+are numpy int arrays in ascending order, so ``poly[i]`` is the coefficient
+of x^i.
+
+Every polynomial evaluation goes through one primitive, `SliceMap`: a
+GF(2)-linear map from input bits to output bits, read from a table of 16
+packed output words per 4-bit slice of the input (Sarwate, CACM 31(8),
+1988). Encoding maps message bits to parity bits; the syndromes map a
+received word to rx(alpha^j) at j = 1..2t; the field's Chien map takes a
+polynomial to its values at every alpha^-p, which give both the roots of
+Lambda and Forney's Omega and Lambda' at them.
 
 `SystematicCode` is the whole code family. A narrow-sense binary BCH code
 is the binary subfield subcode of the Reed-Solomon code over the same field
 (MacWilliams & Sloane, ch. 10), so one formula gives both generators: the
 product of (x - alpha^e) over e = 1..2t, closed under e -> e*2^s mod q-1,
 where s is the symbol width (1 bit for BCH, m bits for RS, for which every
-exponent is its own conjugate). The family encodes through a table of
-packed GF(2) parity words, one row of 16 per 4-bit slice of the message
-(table-driven encoding of a cyclic code, Sarwate, CACM 31(8), 1988),
-decodes by syndromes, Berlekamp-Massey, a Chien search over all q-1
-positions and (for RS) Forney to the codeword within t whenever one exists,
-and owns the bit contract (`code_id`, `encode_bits`, `decode_bits`). For a
-binary code S_2j = S_j^2, so it gathers only the t odd syndromes and runs
-Berlekamp-Massey in t steps, not 2t. A codec is a parameter set: its family
-name, its field, t and s.
+exponent is its own conjugate). The family encodes, decodes by syndromes,
+Berlekamp-Massey, a Chien search over all q-1 positions and (for RS)
+Forney to the codeword within t whenever one exists, and owns the bit
+contract (`code_id`, `encode_bits`, `decode_bits`). For a binary code
+S_2j = S_j^2, so Berlekamp-Massey runs in t steps, not 2t. A codec is a
+parameter set: its family name, its field, t and s.
 """
 
 import numpy as np
@@ -28,8 +33,47 @@ import numpy as np
 _NIBBLES = np.array([[v >> 4, v & 15] for v in range(256)], dtype=np.intp)
 
 
+class SliceMap:
+    """A GF(2)-linear map on bytes, evaluated from a read-only slice table.
+
+    rows[i] holds the output bytes of input bit i, most significant bit of
+    each input byte first. Table entry [j, v] XORs the rows of the set bits
+    of v in the j-th 4-bit slice of the input, built by doubling over the
+    four bits; `apply` gathers one entry per slice and XORs them
+    (table-driven evaluation of a linear map, Sarwate, CACM 31(8), 1988).
+    Zero rows pad the input to whole bytes, zero columns the output to
+    whole 64-bit words; the table is stored word-major, so word w of
+    [j, v] is [w, 16j + v].
+    """
+
+    def __init__(self, rows):
+        rows = np.pad(rows, ((0, -len(rows) % 8), (0, -rows.shape[1] % 8)))
+        packed = rows.view(np.uint64).T.reshape(-1, len(rows) // 4, 4)
+        table = np.zeros((*packed.shape[:2], 16), dtype=np.uint64)
+        for b in range(4):
+            table[..., 1 << b : 2 << b] = table[..., : 1 << b] ^ packed[..., 3 - b, None]
+        self.table = table.reshape(len(table), -1)
+        self.table.flags.writeable = False
+        self.starts = np.arange(0, self.table.shape[1], 16)  # first column of each slice
+
+    def apply(self, data):
+        """The output bytes at the input bytes `data`, which may stop short of the table's input."""
+        cols = _NIBBLES.take(data, axis=0).ravel()
+        # a slice of starts costs about 0.2 us, so a full-length input skips it
+        cols += self.starts if len(cols) == len(self.starts) else self.starts[: len(cols)]
+        return np.bitwise_xor.reduce(self.table.take(cols, axis=1), axis=1).view(np.uint8)
+
+
+# Chien maps shared by equal fields: (m, primitive polynomial) -> SliceMap
+_chien_maps = {}
+
+
 class GF2m:
-    """GF(2^m) defined by a primitive polynomial given as a bitmask."""
+    """GF(2^m) defined by a primitive polynomial given as a bitmask.
+
+    In the slice maps each field value is `dtype`, the smallest unsigned
+    integer that holds it, big-endian: ceil(m/8) bytes for m <= 16.
+    """
 
     def __init__(self, m: int, primitive_poly: int):
         self.m = m
@@ -53,14 +97,27 @@ class GF2m:
         # numpy copies for the vectorized paths
         self.exp_np = np.array(exp, dtype=np.int64)
         self.log_np = np.array(log, dtype=np.int64)
-        self._root_exps = np.zeros((0, n), dtype=np.int64)
+        self.dtype = np.min_scalar_type(n).newbyteorder(">")
 
-    def root_exps(self, rows):
-        """[i, p] = -i*p mod (q-1), the log of (alpha^-p)^i, for i < rows: Chien's exponents."""
-        if len(self._root_exps) < rows:  # built once per row count reached, not per call
-            n = self.order - 1
-            self._root_exps = -np.arange(rows)[:, None] * np.arange(n) % n
-        return self._root_exps
+    def power_rows(self, count, width, xs):
+        """SliceMap rows of "bit c of symbol i adds alpha^(c + i*x)" at every
+        point alpha^x, x in xs: the map from the coefficients of a polynomial
+        of `count` terms, each `width` bits most significant first, to its
+        values at those points. A bit c >= m adds nothing."""
+        e = np.arange(count)[:, None] * np.asarray(xs) % (self.order - 1)
+        rows = np.zeros((count, width, len(xs)), dtype=self.dtype)
+        for c in range(min(width, self.m)):
+            rows[:, width - 1 - c] = self.exp_np[e + c]  # e + c < 2(q-1), inside exp
+        return rows.reshape(count * width, -1).view(np.uint8)
+
+    def chien(self, poly):
+        """poly(alpha^-p) for every p in [0, q-1), one SliceMap.apply; the map is
+        shared by equal fields and grows to the longest poly asked for."""
+        key, n, w = (self.m, self.primitive_poly), self.order - 1, self.dtype.itemsize
+        chien = _chien_maps.get(key)
+        if chien is None or len(chien.starts) < 2 * w * len(poly):  # 2w slices per term
+            chien = _chien_maps[key] = SliceMap(self.power_rows(len(poly), 8 * w, -np.arange(n) % n))
+        return chien.apply(np.asarray(poly).astype(self.dtype).view(np.uint8))[: n * w].view(self.dtype)
 
     # polynomial helpers (ascending coefficient arrays over this field)
 
@@ -72,17 +129,6 @@ class GF2m:
         i, j = np.nonzero(p)[0][:, None], np.nonzero(q)[0]
         terms = self.exp_np[self.log_np[p[i]] + self.log_np[q[j]]]
         np.bitwise_xor.at(out, i + j, terms)
-        return out
-
-    def poly_eval_many(self, p, xs):
-        """Evaluate p at every point of the 1-D array xs: XOR over i of
-        exp[(log p_i + i * log x) mod (q-1)], with p(0) = p_0."""
-        p = np.asarray(p, dtype=np.int64)
-        xs = np.asarray(xs, dtype=np.int64)
-        i = np.nonzero(p)[0][:, None]
-        terms = self.exp_np[(self.log_np[p[i]] + i * self.log_np[xs]) % (self.order - 1)]
-        out = np.bitwise_xor.reduce(terms, axis=0)
-        out[xs == 0] = p[0]
         return out
 
 
@@ -155,13 +201,11 @@ def locator_roots(field: GF2m, lam):
 
     Positions cover the whole multiplicative group, [0, q-1), which is the
     length of every SystematicCode, so a decoder compares their count with
-    deg(Lambda) to reject bogus locators. Exponents come from the field's
-    table. A coefficient outside [0, 2^m) raises ValueError.
+    deg(Lambda) to reject bogus locators. The values come from the field's
+    Chien map. A coefficient outside [0, 2^m) raises ValueError.
     """
     lam = checked_word(lam, len(lam), field.m, "lam")
-    i = np.nonzero(lam)[0]
-    terms = field.exp_np[field.log_np[lam[i]][:, None] + field.root_exps(len(lam))[i]]
-    return np.nonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)[0]
+    return np.nonzero(field.chien(lam) == 0)[0]
 
 
 class SystematicCode:
@@ -177,9 +221,9 @@ class SystematicCode:
 
     family = None  # "bch" or "rs": the first part of code_id
 
-    # read-only parity tables shared by codes with equal parameters; the
-    # table is most of a code's memory (223 KB for RS(255,223))
-    _parity_tables = {}
+    # (parity, syndrome) SliceMaps shared by codes with equal parameters;
+    # their tables are 223 KB and 255 KB for RS(255,223)
+    _maps = {}
 
     def __init__(self, field: GF2m, t: int, s: int):
         self.field = field
@@ -200,39 +244,21 @@ class SystematicCode:
         self.n_bits, self.k_bits = self.n * s, self.k * s
         self.code_id = f"{self.family}-{self.n}-{self.k}-{t}"
         key = (field.m, field.primitive_poly, s, t)
-        if key not in self._parity_tables:
+        if key not in self._maps:
             # GF(2) parity bits of each message bit: message symbol i with
-            # value 2^b = alpha^b adds alpha^b * (x^(r+i) mod g) to the parity.
-            # Zero rows pad the message to whole bytes, zero columns the
-            # parity to whole 64-bit words.
-            parity = np.zeros((-(-self.k * s // 8) * 8, -(-r * s // 64) * 64), dtype=np.uint8)
+            # value 2^b = alpha^b adds alpha^b * (x^(r+i) mod g) to the parity
+            parity = np.empty((self.k * s, r * s), dtype=np.uint8)
             rem = g = g[:r]  # x^r mod g
             shifts = np.arange(s - 1, -1, -1)[:, None]
             for i in range(self.k):
                 rows = np.where(rem != 0, field.exp_np[field.log_np[rem] + shifts], 0)
-                parity[i * s : (i + 1) * s, : r * s] = self._bits(rows)
+                parity[i * s : (i + 1) * s] = self._bits(rows)
                 rem = np.concatenate([[0], rem[:-1]]) ^ field.poly_mul([rem[-1]], g)
-            # entry [j, v] XORs the packed parity words of the set bits of v
-            # in slice j (most significant first), built by doubling over the
-            # four bits; stored word-major, so word w of [j, v] is [w, 16j + v]
-            packed = np.packbits(parity, axis=1).view(np.uint64).T.reshape(-1, len(parity) // 4, 4)
-            table = np.zeros((*packed.shape[:2], 16), dtype=np.uint64)
-            for b in range(4):
-                table[..., 1 << b : 2 << b] = table[..., : 1 << b] ^ packed[..., 3 - b, None]
-            table.flags.writeable = False
-            self._parity_tables[key] = table.reshape(len(table), -1)
-        self._parity = self._parity_tables[key]
-        self._slice_cols = np.arange(0, self._parity.shape[1], 16)  # first column of each slice
-        j = np.arange(1, 2 * t + 1, dtype=np.int64)
-        if s == 1:
-            # rows alpha^(j*i) for the t odd j; S_j for j = o * 2^a is S_o^(2^a),
-            # _powers[S_o, j-1] = alpha^(log S_o * 2^a mod (q-1)), 0 for S_o = 0
-            self._odd_rows = field.exp_np[j[::2, None] * np.arange(self.n) % self.n]
-            self._odd_of, self._cols = j // (j & -j) // 2, j - 1  # row of o, column of j
-            self._powers = field.exp_np[field.log_np[:, None] * (j & -j) % self.n]
-            self._powers[0] = 0
-        else:  # syndrome exponents: entry [j-1, i] = j*i mod (q-1), j = 1..2t
-            self._synd_exps = j[:, None] * np.arange(self.n) % self.n
+            # received symbols packed 8 bits a byte for s = 1, one field value each otherwise
+            width = 1 if s == 1 else 8 * field.dtype.itemsize
+            syndromes = SliceMap(field.power_rows(self.n, width, np.arange(1, 2 * t + 1)))
+            self._maps[key] = SliceMap(np.packbits(parity, axis=1)), syndromes
+        self._parity, self._syndrome_map = self._maps[key]
 
     def _bits(self, syms) -> np.ndarray:
         """Symbols to s bits each, most significant first, along the last axis."""
@@ -251,11 +277,9 @@ class SystematicCode:
 
     def _encode_bits(self, msg_bits) -> np.ndarray:
         """Codeword bits [parity, message] for k_bits uint8 message bits:
-        one table entry per 4-bit slice of the packed message, XORed."""
-        cols = _NIBBLES.take(np.packbits(msg_bits), axis=0).ravel()
-        cols += self._slice_cols
-        parity = np.bitwise_xor.reduce(self._parity.take(cols, axis=1), axis=1).view(np.uint8)
-        return np.concatenate([np.unpackbits(parity, count=(self.n - self.k) * self.s), msg_bits])
+        the parity is one SliceMap.apply on the packed message."""
+        parity = self._parity.apply(np.packbits(msg_bits))
+        return np.concatenate([np.unpackbits(parity, count=self.n_bits - self.k_bits), msg_bits])
 
     def encode_bits(self, msg_bits) -> np.ndarray:
         """Codeword bits for a k_bits message; bits map to symbols MSB first."""
@@ -270,14 +294,11 @@ class SystematicCode:
         return self._bits(msg)
 
     def _syndromes(self, rx) -> np.ndarray:
-        """S_j = rx(alpha^j) for j = 1..2t, one gather over the nonzero symbols;
-        for s = 1 over the t odd j only, since then S_2j = S_j^2."""
-        nz = np.nonzero(rx)[0]
-        if self.s == 1:
-            odd = np.bitwise_xor.reduce(self._odd_rows[:, nz], axis=1)
-            return self._powers[odd[self._odd_of], self._cols]
-        terms = self.field.exp_np[self.field.log_np[rx[nz]] + self._synd_exps[:, nz]]
-        return np.bitwise_xor.reduce(terms, axis=1)
+        """S_j = rx(alpha^j) for j = 1..2t, one SliceMap.apply on the packed bits
+        (s = 1) or on the field values (s = m) of rx."""
+        dtype = self.field.dtype
+        data = np.packbits(rx) if self.s == 1 else rx.astype(dtype).view(np.uint8)
+        return self._syndrome_map.apply(data)[: 2 * self.t * dtype.itemsize].view(dtype)
 
     def _correct(self, rx):
         """Message symbols of the codeword within t symbols of rx, or None.
@@ -306,10 +327,7 @@ class SystematicCode:
             fixed[pos] ^= 1
         else:
             omega = field.poly_mul(synd, lam)[: 2 * t]
-            lam_deriv = lam[1:].copy()
-            lam_deriv[1::2] = 0  # formal derivative keeps odd-degree terms
-            x_inv = field.exp_np[-pos % self.n]
-            num = field.poly_eval_many(omega, x_inv)
-            den = field.poly_eval_many(lam_deriv, x_inv)
+            lam_deriv = np.where(np.arange(1, len(lam)) % 2, lam[1:], 0)  # odd-degree terms, shifted
+            num, den = field.chien(omega)[pos], field.chien(lam_deriv)[pos]
             fixed[pos] ^= field.exp_np[(field.log_np[num] - field.log_np[den]) % self.n]
         return fixed[self.n - self.k :]

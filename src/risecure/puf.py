@@ -226,8 +226,17 @@ class _DelayPuf:
         return int(g.integers(0, 1 << 63)), n_bits
 
     def sample_margins(self, g, count):
-        """Noiseless margins of `count` random stage-width challenges drawn from g."""
-        return self.margins(g.integers(0, 2, (count, self.stages), dtype=np.uint8))
+        """Noiseless margins of `count` random stage-width challenges drawn from g.
+
+        The challenge bits are drawn and read block by block, a block being
+        one _margins gather rounded down to a multiple of 8 challenges: its
+        bits are then whole 64-bit Philox words, so the blocks join to the
+        one (count, stages) draw without holding all of its bits.
+        """
+        block = _GATHER_BUDGET // (self._table.size // 256) // 8 * 8  # at least 8, see _margins
+        return np.concatenate([
+            self.margins(g.integers(0, 2, (min(block, count - lo), self.stages), dtype=np.uint8))
+            for lo in range(0, count, block)])
 
     def features(self, challenges):
         """Suffix-parity words of a challenge batch; its width must equal the stage count."""

@@ -5,6 +5,7 @@ import pytest
 
 from risecure.bch import BchCode
 from risecure.galois import GF2m
+from risecure.reed_solomon import ReedSolomonCode
 
 from gf_ref import ref_field
 
@@ -176,14 +177,20 @@ def test_wrong_length_rejected(code):
     BchCode(),
     BchCode(m=5, t=3, primitive_poly=0x25),
     BchCode(m=4, t=3, primitive_poly=0x13),
-], ids=["bch-127-36-15", "bch-31-16-3", "bch-15-5-3"])
-def test_odd_row_syndromes_equal_scalar_evaluation(code):
+    ReedSolomonCode(),
+    ReedSolomonCode(t=2, m=4, primitive_poly=0x13),
+    ReedSolomonCode(t=2, m=3, primitive_poly=0xB),
+], ids=["bch-127-36-15", "bch-31-16-3", "bch-15-5-3", "rs-255-223-16", "rs-15-11-2", "rs-7-3-2"])
+def test_syndromes_equal_scalar_evaluation(code):
     """S_j = rx(alpha^j) for j = 1..2t by scalar Horner evaluation, on the
-    zero word, every single-bit word and seeded random words."""
+    zero word, every word with one nonzero symbol (a single bit for BCH)
+    and seeded random words."""
     gf = ref_field(code.field)
     rng = np.random.default_rng(18)
-    words = [np.zeros(code.n, np.uint8), *np.eye(code.n, dtype=np.uint8),
-             *rng.integers(0, 2, (100, code.n), dtype=np.uint8)]
+    top = 1 << code.s
+    dtype = np.uint8 if code.s == 1 else np.int64
+    words = [np.zeros(code.n, dtype), *(np.eye(code.n, dtype=dtype) * rng.integers(1, top, code.n)),
+             *rng.integers(0, top, (100, code.n)).astype(dtype)]
     for rx in words:
         want = [gf.poly_eval(rx, gf.pow_alpha(j)) for j in range(1, 2 * code.t + 1)]
         assert code.syndromes(rx).tolist() == want

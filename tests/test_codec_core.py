@@ -15,13 +15,14 @@ import math
 import numpy as np
 import pytest
 
+from risecure import galois
 from risecure.bch import BchCode
 from risecure.galois import GF2m
 from risecure.hashing import OUTER_CHALLENGE_BITS, compose_response
 from risecure.prng import stream
 from risecure.reed_solomon import ReedSolomonCode
 
-from gf_ref import ref_field
+from gf_ref import clmul_mod, ref_field
 
 
 def _corrupt(code, cw, weight, rng, symbol_max):
@@ -324,11 +325,59 @@ def test_encoder_outputs_are_pinned(code, digest):
 
 
 def test_parity_table_is_read_only_shared_and_small():
-    a, b = ReedSolomonCode(), ReedSolomonCode()
-    assert a._parity is b._parity and not a._parity.flags.writeable
-    with pytest.raises(ValueError):
-        a._parity[0, 0] = 0
-    assert a._parity.nbytes <= 256 * 1024
+    """The parity, syndrome and Chien tables of each default code: read-only,
+    one object for two codes with equal parameters, at most 256 KiB each,
+    after a decode that grows the Chien map to its longest polynomial."""
+    for make, symbol_max in [(BchCode, 1), (ReedSolomonCode, 255)]:
+        a, b = make(), make()
+        rng = stream("slice-tables", symbol_max)
+        msg = rng.integers(0, symbol_max + 1, a.k)
+        assert np.array_equal(a.decode(_corrupt(a, b.encode(msg), a.t, rng, symbol_max)), msg)
+        key = (a.field.m, a.field.primitive_poly)
+        chien = galois._chien_maps[key]
+        b.field.chien([1, 1])  # another field object, a shorter polynomial: the same map
+        assert b.field is not a.field and galois._chien_maps[key] is chien
+        assert a._parity is b._parity and a._syndrome_map is b._syndrome_map
+        for table in (a._parity.table, a._syndrome_map.table, chien.table):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+            assert table.nbytes <= 256 * 1024
+
+
+def _scalar_syndromes(code, word):
+    """rx(alpha^j) for j = 1..2t by Horner's rule on carry-less products."""
+    m, poly = code.field.m, code.field.primitive_poly
+    out, x = [], 1
+    for _ in range(2 * code.t):
+        x = clmul_mod(x, 2, poly, m)
+        acc = 0
+        for c in reversed(word.tolist()):
+            acc = clmul_mod(acc, x, poly, m) ^ c
+        out.append(acc)
+    return out
+
+
+# Fields wider than a byte: each value spans two bytes in the slice maps.
+@pytest.mark.parametrize("code,symbol_max", [
+    (BchCode(m=9, t=5, primitive_poly=0x211), 1),
+    (ReedSolomonCode(t=4, m=9, primitive_poly=0x211), 511),
+    (BchCode(m=10, t=8, primitive_poly=0x409), 1),
+], ids=["bch-511-466-5", "rs-511-503-4", "bch-1023-943-8"])
+def test_wide_field_codes_decode_to_scalar_codewords(code, symbol_max):
+    """t errors round-trip; at t+1 and t+2 a decode fails or returns a codeword
+    within t of the word. Syndromes are checked against the scalar reference."""
+    rng = stream("wide-field", code.n)
+    for weight in (code.t, code.t, code.t + 1, code.t + 2):
+        msg = rng.integers(0, symbol_max + 1, code.k)
+        rx = _corrupt(code, code.encode(msg), weight, rng, symbol_max)
+        assert code.syndromes(rx).tolist() == _scalar_syndromes(code, rx)
+        got = code.decode(rx)
+        if weight == code.t:
+            assert np.array_equal(got, msg)
+        elif got is not None:
+            cw = code.encode(got)
+            assert not any(_scalar_syndromes(code, cw)) and np.count_nonzero(cw != rx) <= code.t
 
 
 def test_byte_symbol_conversions_match_the_shift_formula():

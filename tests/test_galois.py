@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from risecure import galois
 from risecure.bch import BchCode
 from risecure.galois import GF2m, berlekamp_massey, locator_roots
 from risecure.reed_solomon import ReedSolomonCode
@@ -60,15 +61,19 @@ def test_poly_mul_matches_scalar():
         assert np.array_equal(gf.poly_mul(p, q), want)
 
 
-def test_poly_eval_many_matches_scalar():
-    gf = GF2m(7, 0x89)
+def test_chien_map_matches_scalar(monkeypatch):
+    """poly(alpha^-p) at every p in [0, q-1) against Horner's rule, for a
+    short polynomial and then a longer one, which grows the shared map."""
+    monkeypatch.setattr(galois, "_chien_maps", {})
     rng = np.random.default_rng(5)
-    p = rng.integers(0, 128, 9)
-    xs = rng.integers(0, 128, 50)
-    many = gf.poly_eval_many(p, xs)
-    ref = ref_field(gf)
-    for i, x in enumerate(xs):
-        assert many[i] == ref.poly_eval(p, int(x))
+    for m, poly in [(4, 0x13), (7, 0x89), (8, 0x11D)]:
+        gf = GF2m(m, poly)
+        ref = ref_field(gf)
+        for length in (3, 11):
+            p = rng.integers(0, gf.order, length)
+            want = [ref.poly_eval(p, ref.pow_alpha(-i)) for i in range(gf.order - 1)]
+            assert gf.chien(p).tolist() == want
+            assert len(galois._chien_maps[(m, poly)].starts) == 2 * length  # a byte a term
 
 
 def lfsr_generates(field, lam, syndromes, length):
@@ -104,18 +109,19 @@ def test_berlekamp_massey_reproduces_random_lfsr_sequences():
 
 
 def test_locator_roots_finds_planted_roots():
-    gf = GF2m(7, 0x89)
-    ref = ref_field(gf)
     rng = np.random.default_rng(7)
-    for _ in range(30):
-        k = int(rng.integers(1, 6))
-        pos = rng.choice(127, k, replace=False)
-        # Lambda(x) = prod (1 - x * alpha^pos)
-        lam = np.array([1], dtype=np.int64)
-        for p in pos:
-            lam = gf.poly_mul(lam, np.array([1, ref.pow_alpha(int(p))], dtype=np.int64))
-        found = locator_roots(gf, lam)
-        assert np.array_equal(found, np.sort(pos))
+    for m, poly in [(4, 0x13), (7, 0x89), (8, 0x11D)]:
+        gf = GF2m(m, poly)
+        ref = ref_field(gf)
+        for _ in range(30):
+            k = int(rng.integers(1, 6))
+            pos = rng.choice(gf.order - 1, k, replace=False)
+            # Lambda(x) = prod (1 - x * alpha^pos)
+            lam = np.array([1], dtype=np.int64)
+            for p in pos:
+                lam = gf.poly_mul(lam, np.array([1, ref.pow_alpha(int(p))], dtype=np.int64))
+            found = locator_roots(gf, lam)
+            assert np.array_equal(found, np.sort(pos)), (m, pos)
 
 
 def textbook_berlekamp_massey(field, syndromes):

@@ -268,6 +268,19 @@ def test_wide_xor_read_holds_a_bounded_gather_buffer():
     assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_wide_calibration_draws_its_challenges_in_blocks():
+    """100 trials at 1024 stages draw 12,700 challenges, 13 MB as one bit
+    matrix; drawn block by block, calibration's peak stays a few MB."""
+    puf = ArbiterPuf(1, stages=1024)
+    tracemalloc.start()
+    try:
+        calibrate_sigma(puf, 0.99, trials=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MB"
+
+
 @pytest.mark.parametrize("width,rows", [(8, 10**5)] + [(w, 300) for w in range(1, 129) if w != 8])
 def test_byte_sum_is_numpy_row_sum_bit_for_bit(width, rows):
     """The in-place pairwise order equals np.sum(axis=1) on every row of every table width.
