@@ -25,6 +25,18 @@ correct when a program writes its own code; step reads each word, and
 each load's value, from memory in place after one bounds check.
 Every trap leaves step through one exit before anything is written, so a
 trapped instruction retires nothing: registers, memory and pc keep their values.
+
+step is the reference semantics; run executes by basic block. A block is
+the straight-line run of words from an entry pc up to and including the
+first branch or jump, translated once into one Python function over the
+registers and memory; the branch predicates and ALU ops are inlined from
+the same expression text step's functions are compiled from. A block is a
+function of its bytes alone (its code is pc-relative), so translations are
+cached by their bytes, and each machine keeps the block last run from each
+pc, checked on entry with one slice compare against memory: a program that
+writes its own code needs no invalidation. Custom instructions, ebreak and
+every word that traps run through step, as does every instruction while
+step is wrapped (the benchmark's tracer counts its calls).
 """
 
 import functools
@@ -78,6 +90,7 @@ class Instr:
     funct7: int = 0
     imm: int = 0
     op: object = None  # decode's table entry, which step executes
+    expr: str = None  # a branch predicate's or ALU op's expression, which a block inlines
 
 
 def encode_fields(instr):
@@ -88,16 +101,19 @@ def encode_fields(instr):
 OP_LUI, OP_AUIPC, OP_JAL, OP_JALR = 0b0110111, 0b0010111, 0b1101111, 0b1100111
 OP_BRANCH, OP_LOAD, OP_STORE = 0b1100011, 0b0000011, 0b0100011
 OP_IMM, OP_REG, OP_SYSTEM = 0b0010011, 0b0110011, 0b1110011
-_SIGN = 0x80000000  # xor with it maps signed 32-bit order onto unsigned order
 
-# Register values are unsigned 32-bit; immediates are sign-extended.
-_BRANCHES = {  # funct3: (name, taken(rs1, rs2))
-    0b000: ("beq", lambda a, b: a == b),
-    0b001: ("bne", lambda a, b: a != b),
-    0b100: ("blt", lambda a, b: a ^ _SIGN < b ^ _SIGN),
-    0b101: ("bge", lambda a, b: a ^ _SIGN >= b ^ _SIGN),
-    0b110: ("bltu", lambda a, b: a < b),
-    0b111: ("bgeu", lambda a, b: a >= b),
+# Register values are unsigned 32-bit; immediates are sign-extended, and xor with
+# 0x80000000 maps signed 32-bit order onto unsigned order. Each branch
+# predicate and ALU op is the text of one expression over {a} (rs1) and {b} (rs2 or
+# the immediate): _OPS compiles it into the function step calls, and the block
+# translator inlines the same text.
+_BRANCHES = {  # funct3: (name, taken)
+    0b000: ("beq", "{a} == {b}"),
+    0b001: ("bne", "{a} != {b}"),
+    0b100: ("blt", "{a} ^ 0x80000000 < {b} ^ 0x80000000"),
+    0b101: ("bge", "{a} ^ 0x80000000 >= {b} ^ 0x80000000"),
+    0b110: ("bltu", "{a} < {b}"),
+    0b111: ("bgeu", "{a} >= {b}"),
 }
 _LOADS = {  # funct3: (name, little-endian format of its width and sign)
     0b000: ("lb", struct.Struct("<b")), 0b001: ("lh", struct.Struct("<h")),
@@ -105,18 +121,20 @@ _LOADS = {  # funct3: (name, little-endian format of its width and sign)
     0b101: ("lhu", struct.Struct("<H")),
 }
 _STORES = {0b000: ("sb", 1), 0b001: ("sh", 2), 0b010: ("sw", 4)}  # funct3: (name, bytes)
-_ALU = {  # (funct3, funct7 == 0100000): (register name, immediate name, op(rs1, rs2 or imm))
-    (0b000, 0): ("add", "addi", lambda a, b: a + b),
-    (0b000, 1): ("sub", None, lambda a, b: a - b),
-    (0b001, 0): ("sll", "slli", lambda a, b: a << (b & 0x1F)),
-    (0b010, 0): ("slt", "slti", lambda a, b: int(a ^ _SIGN < (b & MASK32) ^ _SIGN)),
-    (0b011, 0): ("sltu", "sltiu", lambda a, b: int(a < (b & MASK32))),
-    (0b100, 0): ("xor", "xori", lambda a, b: a ^ b),
-    (0b101, 0): ("srl", "srli", lambda a, b: a >> (b & 0x1F)),
-    (0b101, 1): ("sra", "srai", lambda a, b: _sext(a, 32) >> (b & 0x1F)),
-    (0b110, 0): ("or", "ori", lambda a, b: a | b),
-    (0b111, 0): ("and", "andi", lambda a, b: a & b),
+_ALU = {  # (funct3, funct7 == 0100000): (register name, immediate name, value)
+    (0b000, 0): ("add", "addi", "{a} + {b}"),
+    (0b000, 1): ("sub", None, "{a} - {b}"),
+    (0b001, 0): ("sll", "slli", "{a} << ({b} & 0x1F)"),
+    (0b010, 0): ("slt", "slti", "int({a} ^ 0x80000000 < ({b} & 0xFFFFFFFF) ^ 0x80000000)"),
+    (0b011, 0): ("sltu", "sltiu", "int({a} < ({b} & 0xFFFFFFFF))"),
+    (0b100, 0): ("xor", "xori", "{a} ^ {b}"),
+    (0b101, 0): ("srl", "srli", "{a} >> ({b} & 0x1F)"),
+    (0b101, 1): ("sra", "srai", "_sext({a}, 32) >> ({b} & 0x1F)"),
+    (0b110, 0): ("or", "ori", "{a} | {b}"),
+    (0b111, 0): ("and", "andi", "{a} & {b}"),
 }
+_OPS = {expr: eval(f"lambda a, b: {expr.format(a='a', b='b')}", {"_sext": _sext})
+        for expr in [e for _, e in _BRANCHES.values()] + [e for *_, e in _ALU.values()]}
 
 
 DECODE_CACHE_SIZE = 4096  # bounded, so decoding arbitrary words cannot grow it without limit
@@ -147,13 +165,13 @@ def _decode_word(word):
         entry = _ALU.get((funct3, funct7 >> 5)) if funct7 in (0, 0b0100000) else None
         if entry is None:
             raise IllegalInstruction(f"bad funct7 {funct7:#x} for register op or shift")
-        reg_name, imm_name, op = entry
+        reg_name, imm_name, expr = entry
         if opcode == OP_REG:
-            return Instr(reg_name, *fields, 0, op)
-        return Instr(imm_name, *fields, rs2, op)
+            return Instr(reg_name, *fields, 0, _OPS[expr], expr)
+        return Instr(imm_name, *fields, rs2, _OPS[expr], expr)
     if opcode == OP_IMM:
-        _, name, op = _ALU[funct3, 0]
-        return Instr(name, *fields, _sext(word >> 20, 12), op)
+        _, name, expr = _ALU[funct3, 0]
+        return Instr(name, *fields, _sext(word >> 20, 12), _OPS[expr], expr)
     if opcode == OP_LOAD:
         if funct3 not in _LOADS:
             raise IllegalInstruction(f"bad load funct3 {funct3:#o}")
@@ -169,8 +187,8 @@ def _decode_word(word):
             raise IllegalInstruction(f"bad branch funct3 {funct3:#o}")
         imm = ((word >> 31) << 12) | (((word >> 7) & 1) << 11) \
             | (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
-        name, taken = _BRANCHES[funct3]
-        return Instr(name, *fields, _sext(imm, 13), taken)
+        name, expr = _BRANCHES[funct3]
+        return Instr(name, *fields, _sext(imm, 13), _OPS[expr], expr)
     if opcode == CUSTOM_OPCODE:
         if funct7 != 0:
             raise IllegalInstruction(f"reserved funct7 {funct7:#x} at custom opcode")
@@ -254,6 +272,7 @@ class MachineState:
         self.device = device
         self.status = "continue"
         self.trap_cause = None
+        self._blocks = {}  # pc -> (bytes, words, translated function) of the block run from pc
 
     def mem_read(self, addr, length):
         if addr < 0 or addr + length > len(self.memory):
@@ -271,7 +290,7 @@ class MachineState:
             if not is_integer(w) or not 0 <= w <= MASK32:
                 raise ValueError(f"word {i}: expected a value in [0, 0xffffffff], got {w!r}")
             data += _WORD.pack(int(w))
-        self.mem_write(addr, data)
+        self.mem_write(checked_int(addr, "addr"), data)
 
     def load_hex_program(self, text):
         """Load lines of the form 'ADDR: WORD' (hex); '#' starts a comment.
@@ -403,15 +422,142 @@ def step(state):
     return state.status
 
 
+_STEP_CODE = step.__code__  # run compares it, so a wrapped step still sees every instruction
+
+
 def run(state, max_steps=1_000_000):
-    """Step until halt or trap; returns the final status."""
-    max_steps = checked_int(max_steps, "max_steps", 1)
-    for _ in range(max_steps):
+    """Run until halt, trap or max_steps retired instructions; returns the final status.
+
+    Straight-line code runs as translated blocks; custom instructions, ebreak
+    and every word that traps go through step, and so does every instruction
+    while step is replaced by another function (a tracer's wrapper).
+    """
+    max_steps = left = checked_int(max_steps, "max_steps", 1)
+    regs, memory = _checked_entry(state)
+    if getattr(step, "__code__", None) is _STEP_CODE:
+        blocks, pc = state._blocks, state.pc
+        while left:
+            entry = blocks.get(pc)
+            if entry is None or memory[pc:pc + len(entry[0])] != entry[0]:
+                n = _block_words(memory, pc)
+                code = bytes(memory[pc:pc + 4 * (n or 1)])
+                if len(blocks) >= BLOCK_CACHE_SIZE:
+                    blocks.clear()
+                entry = blocks[pc] = (code, n, _translate(code) if n else None)
+            _, n, block = entry
+            if n > left:
+                break
+            if n:
+                pc, done = block(regs, memory, pc)
+                left -= done
+                if done == n:
+                    continue
+            state.pc = pc  # step runs the word a block stopped before or could not hold
+            left -= 1
+            if step(state) != "continue":
+                return state.status
+            pc = state.pc
+        state.pc = pc
+    for _ in range(left):
         if step(state) != "continue":
             return state.status
     state.status = "trap"
     state.trap_cause = f"step budget of {max_steps} exhausted"
     return state.status
+
+
+def _checked_entry(state):
+    """state's registers and memory, once pc is an int and each register an int in [0, 2^32).
+
+    Numpy integers become ints in place, so blocks and step see one value
+    type; any other value raises ValueError naming it.
+    """
+    state.pc = checked_int(state.pc, "pc")
+    regs = state.regs
+    if type(regs) is not list or len(regs) != 32:
+        raise ValueError(f"regs must be a list of 32 registers, got {regs!r}")
+    for i, v in enumerate(regs):
+        if type(v) is not int or not 0 <= v <= MASK32:
+            regs[i] = checked_int(v, f"regs[{i}]", 0, MASK32)
+    return regs, state.memory
+
+
+BLOCK_MAX_WORDS = 32  # so a block, and the time to translate it, stays small
+BLOCK_CACHE_SIZE = 1024  # translated blocks kept by their bytes, and block entries per machine
+_STORE_INTO = {1: "memory[a] = {v} & 0xFF", 2: "_sh(memory, a, {v} & 0xFFFF)", 4: "_sw(memory, a, {v})"}
+_BLOCK_GLOBALS = {"_sext": _sext, "_sh": struct.Struct("<H").pack_into, "_sw": _WORD.pack_into,
+                  **{f"_{name}": load.unpack_from for name, load in _LOADS.values()}}
+
+
+def _block_words(memory, pc):
+    """How many words from pc one block runs: up to and including the first
+    branch or jump, stopping before a custom instruction, ebreak, an
+    undecodable word or the end of memory, and after BLOCK_MAX_WORDS."""
+    n = 0
+    if pc % 4 == 0 and pc >= 0:
+        for addr in range(pc, min(len(memory) - 3, pc + 4 * BLOCK_MAX_WORDS), 4):
+            try:
+                opcode = _decode_word(_WORD.unpack_from(memory, addr)[0]).opcode
+            except IllegalInstruction:
+                break
+            if opcode in (CUSTOM_OPCODE, OP_SYSTEM):
+                break
+            n += 1
+            if opcode in (OP_BRANCH, OP_JAL, OP_JALR):
+                break
+    return n
+
+
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _translate(code):
+    """A function running the words in `code` as step runs them, at any pc.
+
+    block(regs, memory, pc) returns the next pc and the number of words it
+    retired. That is fewer than all of them only when it stops before a word
+    that traps, which step then runs, or after a store into one of its own
+    later words, whose new text step then runs.
+    """
+    n = len(code) // 4
+    lines = ["def block(regs, memory, pc):", "size = len(memory)"]
+    for i in range(n):
+        ins = _decode_word(_WORD.unpack_from(code, 4 * i)[0])
+        op, after = ins.opcode, f"pc + {4 * i + 4}"
+        a = f"regs[{ins.rs1}]"
+        b = f"regs[{ins.rs2}]" if op in (OP_REG, OP_BRANCH) else f"({ins.imm})"
+        stop = f"return pc + {4 * i}, {i}"  # step runs this word, and traps on it
+        jump = f"return (pc + {4 * i + ins.imm}) & 0xFFFFFFFF, {n}" if ins.imm % 4 == 0 else stop
+        value = None  # rd's new value
+        if op in (OP_IMM, OP_REG):
+            value = f"({ins.expr.format(a=a, b=b)}) & 0xFFFFFFFF"
+        elif op == OP_LUI:
+            value = str(ins.imm)
+        elif op == OP_AUIPC:
+            value = f"(pc + {4 * i + ins.imm}) & 0xFFFFFFFF"
+        elif op == OP_LOAD:
+            lines += [f"a = ({a} + {ins.imm}) & 0xFFFFFFFF", f"if a + {ins.op.size} > size: {stop}"]
+            value = f"_{ins.name}(memory, a)[0]" + (" & 0xFFFFFFFF" if ins.name in ("lb", "lh") else "")
+        elif op == OP_STORE:
+            lines += [f"a = ({a} + {ins.imm}) & 0xFFFFFFFF", f"if a + {ins.op} > size: {stop}",
+                      _STORE_INTO[ins.op].format(v=f"regs[{ins.rs2}]")]
+            if i + 1 < n:  # a store into a later word ends the block before it
+                lines.append(f"if a < pc + {4 * n} and {after} < a + {ins.op}: "
+                             f"return ({after}) & 0xFFFFFFFF, {i + 1}")
+        elif op == OP_BRANCH:
+            lines.append(f"if {ins.expr.format(a=a, b=b)}: {jump}")
+        elif op == OP_JAL:
+            value = None if ins.imm % 4 else f"({after}) & 0xFFFFFFFF"
+        else:  # jalr
+            value = f"({after}) & 0xFFFFFFFF"
+            lines += [f"t = ({a} + {ins.imm}) & 0xFFFFFFFE", f"if t & 2: {stop}"]
+            jump = f"return t, {n}"
+        if value is not None and ins.rd:  # x0 stays zero
+            lines.append(f"regs[{ins.rd}] = {value}")
+        if op in (OP_JAL, OP_JALR):
+            lines.append(jump)
+    lines.append(f"return (pc + {4 * n}) & 0xFFFFFFFF, {n}")
+    scope = {}
+    exec("\n    ".join(lines), _BLOCK_GLOBALS, scope)
+    return scope["block"]
 
 
 # small assembler, just enough for test programs and demos
