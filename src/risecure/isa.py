@@ -274,12 +274,18 @@ class MachineState:
         self.trap_cause = None
         self._blocks = {}  # pc -> (bytes, words, translated function) of the block run from pc
 
+    # addr and length must be integers (numpy's too) or raise ValueError naming them;
+    # the ints of every custom instruction and store pass one type test
     def mem_read(self, addr, length):
+        if type(addr) is not int or type(length) is not int or length < 0:
+            addr, length = checked_int(addr, "addr"), checked_int(length, "length", 0)
         if addr < 0 or addr + length > len(self.memory):
             raise MemoryFault(f"read [{addr:#x}, +{length}) out of bounds")
         return bytes(self.memory[addr : addr + length])
 
     def mem_write(self, addr, data):
+        if type(addr) is not int:
+            addr = checked_int(addr, "addr")
         if addr < 0 or addr + len(data) > len(self.memory):
             raise MemoryFault(f"write [{addr:#x}, +{len(data)}) out of bounds")
         self.memory[addr : addr + len(data)] = data
@@ -290,7 +296,7 @@ class MachineState:
             if not is_integer(w) or not 0 <= w <= MASK32:
                 raise ValueError(f"word {i}: expected a value in [0, 0xffffffff], got {w!r}")
             data += _WORD.pack(int(w))
-        self.mem_write(checked_int(addr, "addr"), data)
+        self.mem_write(addr, data)
 
     def load_hex_program(self, text):
         """Load lines of the form 'ADDR: WORD' (hex); '#' starts a comment.

@@ -414,7 +414,8 @@ def _flip_probability(x):
 
     Rounding Phi first, as a normal-CDF routine does, makes q exactly 0 from
     x = 8.2924 on. Scalar erfc costs about 3x a vectorised CDF per element, so
-    it runs only where x < 9 (a few percent of margins at a calibrated sigma).
+    it runs only where x < 9; calibration passes only the rows that have such
+    an x (see _reliability_above), a few percent of them at a calibrated sigma.
     """
     q = np.zeros_like(x)
     near = x < 9.0
@@ -437,11 +438,53 @@ def _expected_reliability(sigma, margins):
     return float(np.mean((1.0 + np.prod(1.0 - 2.0 * q, axis=1)) / 2.0))
 
 
+_Q1 = float(_flip_probability(np.ones(1))[0])  # q(1) = 0.1587
+
+
+def _reliability_above(margins, target):
+    """calibrate_sigma's step test: sigma -> _expected_reliability(sigma, margins) > target,
+    the same answer bit for bit, paid for only by the rows that can flip.
+
+    The rows are sorted once by their smallest |d|. A row whose smallest |d| is
+    above fl(9 sigma) > 8.3 sigma has q = 0 on every chain (see
+    _flip_probability), so its value is exactly 1.0. Only the sorted prefix
+    below runs _flip_probability; its values go into a reused array of 1.0s at
+    the rows' own places, so np.mean sums the same array in the same pairwise
+    order as _expected_reliability (Higham, SIAM J. Sci. Comput. 14(4), 1993).
+
+    A step far below the target is settled by counting, without erfc: a row
+    with some |d| < sigma has q >= q(1) on that chain, and its value, 1 - q or
+    for a XOR (1 + prod_k (1 - 2 q_k)) / 2 <= 1 - q_j (the other factors lie in
+    [0, 1]), is at most 1 - q(1). So c such rows of n give E <= 1 - c q(1) / n,
+    and a bound below target - 1e-9 means E is not above the target. That
+    margin assumes only that libm erfc is within a few ulp, which moves q by
+    about 1e-16, and the mean's rounding is about 1e-15.
+    """
+    key = margins if margins.ndim == 1 else margins.min(axis=1)
+    order = np.argsort(key)
+    rows, key = margins[order], key[order]
+    values = np.ones(len(key))
+    written = 0  # values[order[written:]] are all 1.0
+
+    def above(sigma):
+        nonlocal written
+        if 1.0 - np.searchsorted(key, sigma) * _Q1 / len(key) < target - 1e-9:
+            return False
+        n = int(np.searchsorted(key, 9.0 * sigma, side="right"))
+        q = _flip_probability(rows[:n] / sigma)
+        values[order[:n]] = 1.0 - q if q.ndim == 1 else (1.0 + np.prod(1.0 - 2.0 * q, axis=1)) / 2.0
+        values[order[n:written]] = 1.0  # rows a larger sigma wrote
+        written = n
+        return float(np.mean(values)) > target
+    return above
+
+
 def calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
     """Find sigma so the puf's measured reliability hits the target.
 
     Bisection over sigma against the expected reliability evaluated on a
-    Monte-Carlo challenge sample of trials * TRIAL_BITS bits. Requires
+    Monte-Carlo challenge sample of trials * TRIAL_BITS bits; each step asks
+    _reliability_above, which answers as _expected_reliability would. Requires
     0.5 < target <= 1; noise can only pull reliability down toward 1/2, so
     every such target is reached. hi doubles from 1 until the expected
     reliability is at or below the target, which ends at the latest when
@@ -464,11 +507,12 @@ def calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
     if not np.isfinite(margins).all():  # NaN or inf would keep hi doubling forever
         raise ValueError("calibration needs finite delay margins from puf.sample_margins")
 
+    above = _reliability_above(margins, target_reliability)
     lo, hi = 0.0, 1.0
-    while _expected_reliability(hi, margins) > target_reliability:
+    while above(hi):
         hi *= 2.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _expected_reliability(mid, margins) > target_reliability:
+        if above(mid):
             lo = mid
         else:
             hi = mid

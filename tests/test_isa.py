@@ -390,6 +390,32 @@ def test_non_integer_machine_parameters_raise_value_error_naming_them(call, name
         call()
 
 
+# each of these raised a bare TypeError from a slice, read address 1 for True, or read
+# all but the last byte of memory for a negative length
+@pytest.mark.parametrize("call,name", [
+    (lambda st: st.mem_read(1.5, 4), "addr"),
+    (lambda st: st.mem_read(True, 4), "addr"),
+    (lambda st: st.mem_read("0", 4), "addr"),
+    (lambda st: st.mem_read(0, 2.0), "length"),
+    (lambda st: st.mem_read(0, False), "length"),
+    (lambda st: st.mem_read(0, -1), "length"),
+    (lambda st: st.mem_write(1.5, b"x"), "addr"),
+    (lambda st: st.mem_write(True, b"x"), "addr"),
+], ids=["read-addr-float", "read-addr-bool", "read-addr-str", "read-length-float",
+        "read-length-bool", "read-length-negative", "write-addr-float", "write-addr-bool"])
+def test_non_integer_memory_arguments_raise_value_error_naming_them(call, name):
+    st = MachineState(memory_size=64)
+    with pytest.raises(ValueError, match=name):
+        call(st)
+    assert st.memory == bytes(64)
+
+
+def test_memory_access_takes_numpy_integers():
+    st = MachineState(memory_size=64)
+    st.mem_write(np.int64(4), b"ab")
+    assert st.mem_read(np.uint32(4), np.int8(2)) == b"ab"
+
+
 # the parameter block holds idx in 32 bits, so no program reaches another index;
 # each of these registered a truncated or unreachable index
 @pytest.mark.parametrize("idx", [1.5, "3", -1, 1 << 32])

@@ -10,9 +10,9 @@ import pytest
 
 from risecure.prng import GOLDEN_GAMMA, derive_seed, splitmix64, stream
 from risecure.puf import (TRIAL_BITS, ArbiterPuf, SramPuf, XorArbiterPuf, _byte_sum,
-                          _expected_reliability, _flip_probability, calibrate_sigma,
-                          eval_raw, expand_challenge, measure_reliability, new_puf,
-                          parity_features, puf_from_config, puf_to_config,
+                          _expected_reliability, _flip_probability, _reliability_above,
+                          calibrate_sigma, eval_raw, expand_challenge, measure_reliability,
+                          new_puf, parity_features, puf_from_config, puf_to_config,
                           reference_response)
 
 
@@ -531,22 +531,74 @@ def test_calibrate_sigma_equals_the_80_step_loop_and_brackets_the_target(i):
     assert (_expected_reliability(neighbour, margins) > target) != above
 
 
+def _traced_calibration(monkeypatch, puf, target, trials, seed):
+    """calibrate_sigma's result and its steps as (sigma, above, exact), where a step is
+    exact when it ran _flip_probability and was settled by the counting bound otherwise."""
+    steps, flips = [], []
+
+    def counted_flip(x):
+        flips.append(len(x))
+        return _flip_probability(x)
+
+    def traced(margins, target):
+        above = _reliability_above(margins, target)
+
+        def step(sigma):
+            before = len(flips)
+            steps.append((sigma, above(sigma), len(flips) > before))
+            return steps[-1][1]
+        return step
+
+    with monkeypatch.context() as m:
+        m.setattr("risecure.puf._flip_probability", counted_flip)
+        m.setattr("risecure.puf._reliability_above", traced)
+        sigma = calibrate_sigma(puf, target, trials=trials, seed=seed)
+    assert len(flips) == sum(exact for _, _, exact in steps)  # one evaluation per exact step
+    return sigma, steps
+
+
+# where the pruned step test is fragile: one to eight chains; 8 stages, where only 256
+# challenges exist, so tied margins sit on the prefix boundary; a target just above 1/2,
+# where sigma doubles past 1 and every doubling step goes through the counting bound;
+# targets within 1e-4 of 1
+@pytest.mark.parametrize("make,target,trials,seed", [
+    *[(lambda k=k: XorArbiterPuf(30 + k, chains=k), 0.99, 60, k) for k in (1, 2, 4, 8)],
+    (lambda: ArbiterPuf(41, stages=8), 0.995, 100, 4),
+    (lambda: XorArbiterPuf(42, stages=8, chains=4), 0.99, 100, 5),
+    (lambda: ArbiterPuf(43, stages=8), 0.9, 100, 6),
+    (lambda: ArbiterPuf(44), 0.50001, 30, 7),  # the reference caps sigma at 1e6
+    (lambda: XorArbiterPuf(45, chains=4), 0.500001, 30, 8),
+    (lambda: ArbiterPuf(46), 0.99995, 100, 9),
+    (lambda: XorArbiterPuf(47, chains=2), 1.0 - 1e-6, 100, 10),
+], ids=["chains-1", "chains-2", "chains-4", "chains-8", "stages-8", "stages-8-xor",
+        "stages-8-low", "half-arbiter", "half-xor", "near-one-arbiter", "near-one-xor"])
+def test_calibrate_sigma_equals_the_80_step_loop_where_pruning_is_fragile(
+        monkeypatch, make, target, trials, seed):
+    puf = make()
+    sigma, steps = _traced_calibration(monkeypatch, puf, target, trials, seed)
+    assert sigma == reference_calibrate_sigma(puf, target, trials=trials, seed=seed)
+    margins = np.abs(puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS))
+    for s, above, exact in steps:  # every step, bound-settled or exact, answers as the reference
+        assert above == (_expected_reliability(s, margins) > target), (s, exact)
+        assert exact or not above  # the bound only ever says "not above"
+    if target < 0.6:
+        assert steps[0][0] == 1.0 and steps[0][1] and max(s for s, _, _ in steps) > 1.0
+
+
 def test_calibrate_sigma_reaches_a_target_just_above_one_half():
     sigma = calibrate_sigma(ArbiterPuf(2), 0.500001, trials=50, seed=1)
     assert sigma == pytest.approx(2.40e6, rel=0.01)
 
 
 def test_calibrate_sigma_stops_when_the_interval_stops_shrinking(monkeypatch):
-    calls = []
-
-    def counted(sigma, margins):
-        calls.append(sigma)
-        return _expected_reliability(sigma, margins)
-
-    monkeypatch.setattr("risecure.puf._expected_reliability", counted)
-    make, target, trials = CALIBRATIONS["perfbench-arbiter"]
-    calibrate_sigma(make(1), target, trials=trials, seed=1)
-    assert len(calls) <= 60  # 1 doubling step and 56 bisection steps; 81 with 80 fixed steps
+    for name in ("perfbench-arbiter", "perfbench-xor"):
+        make, target, trials = CALIBRATIONS[name]
+        _, steps = _traced_calibration(monkeypatch, make(1), target, trials, seed=1)
+        exact = sum(e for _, _, e in steps)
+        # 1 doubling step and 56 or 57 bisection steps; 81 with 80 fixed steps
+        assert len(steps) <= 60 and exact >= 50, (name, len(steps), exact)
+    # the 4-XOR's large-sigma steps are settled by counting, without erfc
+    assert [s for s, _, e in steps if not e] == [1.0, 0.5, 0.25, 0.125]
 
 
 def test_calibrate_sigma_rejects_non_finite_margins(monkeypatch):

@@ -7,7 +7,9 @@ run length BENCHMARK.json fixes: RUNS times with `--trace 0` for the
 end-to-end metrics and RUNS times with `--trace 1` for the per-layer
 metrics, each metric recorded as the median of its runs with their min
 and max, so a pair of files shows where time moved, and whether the move is
-wider than the spread. It then writes one schema-versioned file with the
+wider than the spread. Each untraced run's set-up times (`setup_s_samples`,
+spread over the run) are kept too: a median of ten can hide set-up times
+that fall into two modes. It then writes one schema-versioned file with the
 host (Python, numpy, cores) and the git commit. A commit's file is
 comparable with another's only when both were made on the same host.
 """
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4  # 4: per-run set-up samples
 SEED = 1
 RUNS = 3  # untraced and traced runs per workload; one run moves with the host's state
 
@@ -74,6 +76,7 @@ def main(argv=None):
             "failed": [r["failed"] for r in runs],
             "output_digest": runs[0]["output_digest"],
             "end_to_end": spread(runs),
+            "setup_s_samples": [r["setup_s_samples"] for r in runs],
             "per_layer": spread(layers),
             "missing_spans": sorted({s for r in layers for s in r["missing_spans"]}),
         }
