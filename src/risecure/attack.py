@@ -122,17 +122,34 @@ def write_csv(dataset, path):
 
 
 def read_csv(path, mode, width):
+    """Parse write_csv's form into a dataset of `mode` with `width`-bit challenges.
+
+    A file that is not that form raises ValueError naming the line: a missing
+    or other header, a row that is not a challenge of ceil(width/8) bytes in
+    hex and a response bit 0 or 1.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    size = -(-checked_int(width, "width", 1) // 8)
     challenges, responses = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["challenge_hex", "response_bit"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        for hex_str, bit in reader:
-            raw = np.frombuffer(bytes.fromhex(hex_str), dtype=np.uint8)
+            raise ValueError(f"line 1: expected the header challenge_hex,response_bit, "
+                             f"got {header}")
+        for row in reader:
+            try:
+                hex_str, bit = row
+                raw = np.frombuffer(bytes.fromhex(hex_str), dtype=np.uint8)
+                if len(raw) != size or bit not in ("0", "1"):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"line {reader.line_num}: expected a challenge of {size} bytes "
+                                 f"in hex and a bit 0 or 1, got {row}") from None
             challenges.append(np.unpackbits(raw)[:width])
             responses.append(int(bit))
-    return CrpDataset(np.array(challenges, dtype=np.uint8),
+    return CrpDataset(np.array(challenges, dtype=np.uint8).reshape(len(responses), width),
                       np.array(responses, dtype=np.uint8), mode)
 
 

@@ -29,6 +29,8 @@ parameter set: its family name, its field, t and s.
 
 import numpy as np
 
+from .prng import checked_int
+
 # the two 4-bit slices of each byte value, high nibble first
 _NIBBLES = np.array([[v >> 4, v & 15] for v in range(256)], dtype=np.intp)
 
@@ -72,13 +74,16 @@ class GF2m:
     """GF(2^m) defined by a primitive polynomial given as a bitmask.
 
     In the slice maps each field value is `dtype`, the smallest unsigned
-    integer that holds it, big-endian: ceil(m/8) bytes for m <= 16.
+    integer that holds it, big-endian: ceil(m/8) bytes for m <= 16. m must
+    be an integer in [2, 16] and the polynomial one of degree m, else
+    ValueError naming the parameter.
     """
 
     def __init__(self, m: int, primitive_poly: int):
-        self.m = m
+        self.m = m = checked_int(m, "m", 2, 16)
         self.order = 1 << m
-        self.primitive_poly = primitive_poly
+        self.primitive_poly = primitive_poly = checked_int(
+            primitive_poly, "primitive_poly", self.order, 2 * self.order - 1)
         n = self.order - 1
         exp = [0] * (2 * n)
         log = [0] * self.order
@@ -216,7 +221,10 @@ class SystematicCode:
     `family`, passes its field, t and symbol width s to __init__, and
     defines its public symbol-level encode, syndromes and decode on the
     underscore helpers, taking each word through `checked_word`. `code_id`,
-    `n_bits` and `k_bits` are set once, in __init__.
+    `n_bits` and `k_bits` are set once, in __init__. t must be an integer
+    in [1, (q-2)/2], else ValueError naming it: every exponent 1..2t is then
+    nonzero mod q-1, and so are its conjugates, so k >= 1; a larger t
+    reaches exponent q-1 = 0, every element becomes a root and k = 0.
     """
 
     family = None  # "bch" or "rs": the first part of code_id
@@ -227,9 +235,9 @@ class SystematicCode:
 
     def __init__(self, field: GF2m, t: int, s: int):
         self.field = field
-        self.t = t
-        self.s = s
         self.n = field.order - 1
+        self.t = t = checked_int(t, "t", 1, self.n // 2)
+        self.s = s
         # roots alpha^e for e = 1..2t and their conjugates e * 2^(s*i) mod n;
         # i < m reaches them all, since 2^m = 1 mod n
         roots = {(e << s * i) % self.n for e in range(1, 2 * t + 1) for i in range(field.m)}

@@ -92,11 +92,31 @@ def test_csv_roundtrip(tmp_path):
     back = read_csv(path, "raw_arbiter", 64)
     assert np.array_equal(back.challenges, data.challenges)
     assert np.array_equal(back.responses, data.responses)
+    path.write_text("challenge_hex,response_bit\n")
+    assert read_csv(path, "raw_arbiter", 64).challenges.shape == (0, 64)
 
+
+_HEADER = "challenge_hex,response_bit\n"
+_ROW = "00112233445566ff,1\n"
+
+
+@pytest.mark.parametrize("text,mode,line", [
+    ("challenge,bit\nff,1\n", "raw_arbiter", 1),
+    ("", "raw_arbiter", 1),
+    (_HEADER + _ROW + "00112233445566ff,2\n", "raw_arbiter", 3),
+    (_HEADER + "00112233445566ff,-1\n", "raw_arbiter", 2),
+    (_HEADER + _ROW + _ROW + "0011223344556677ff,0\n", "raw_arbiter", 4),
+    (_HEADER + "0011,0\n", "raw_arbiter", 2),
+    (_HEADER + "zz112233445566ff,0\n", "raw_arbiter", 2),
+    (_HEADER + _ROW + "00112233445566ff\n", "raw_arbiter", 3),
+    (_HEADER + _ROW, "raw", 0),
+], ids=["bad-header", "empty", "bit-2", "bit-minus-1", "long-challenge", "short-challenge",
+        "not-hex", "one-field", "unknown-mode"])
+def test_read_csv_rejects_a_malformed_file_naming_the_line(tmp_path, text, mode, line):
     bad = tmp_path / "bad.csv"
-    bad.write_text("challenge,bit\nff,1\n")
-    with pytest.raises(ValueError):
-        read_csv(bad, "raw_arbiter", 64)
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=f"^line {line}: " if line else "^mode must be"):
+        read_csv(bad, mode, 64)
 
 
 def test_run_attack_report_shape_and_determinism():

@@ -380,8 +380,8 @@ def test_zero_counts_exit_1_without_traceback(capsys, argv):
 
 def test_non_integer_seed_variable_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("RISECURE_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["selftest"])
+    with pytest.raises(SystemExit) as exc:  # raised while parsing, before any file is read
+        main(["enroll", "--system", "missing.json", "--c0", "1", "-o", "helper.json"])
     err = capsys.readouterr().err
     assert exc.value.code == 2 and "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [

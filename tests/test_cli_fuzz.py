@@ -147,7 +147,7 @@ _COMMANDS = {
         _flag("--epochs", _ints(1, 3)), _opt("--lr", _floats(0.01, 4)),
         _opt("--stages", _ints(1, 64, (0, 1025))), _opt("-o", _OUT),
         _opt("--crps-out", _mostly(st.just("@crps"), _one("@out", "@no-dir-out"))))),
-    "selftest": (3, _argv(["selftest"], _SEED)),
+    "selftest": (3, _argv(["selftest"])),
     "exec": (60, _argv(
         ["exec"], _SEED,
         _req("--program", _mostly(_one(*_PROGRAMS), _one("@missing", "@dir", "@not-json"))),

@@ -47,6 +47,28 @@ def test_nonprimitive_poly_rejected():
         GF2m(4, 0x1F)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: GF2m(0, 1), "m"),
+    (lambda: GF2m(2.0, 7), "m"),
+    (lambda: GF2m(17, 0x2002D), "m"),
+    (lambda: GF2m(7, 0x9), "primitive_poly"),
+    (lambda: GF2m(7, 1.5), "primitive_poly"),
+    (lambda: BchCode(t=0), "t"),
+    (lambda: BchCode(t=64), "t"),
+    (lambda: BchCode(m=True), "m"),
+    (lambda: ReedSolomonCode(t=1.5), "t"),
+    (lambda: ReedSolomonCode(t=128), "t"),
+], ids=["m-zero", "m-float", "m-wide", "poly-degree", "poly-float", "bch-t-zero",
+        "bch-t-no-message", "bch-m-bool", "rs-t-float", "rs-t-no-message"])
+def test_codec_parameters_raise_value_error_naming_them(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
+def test_largest_t_leaves_one_message_symbol():
+    assert BchCode(t=63).k == 1 and ReedSolomonCode(t=127).k == 1
+
+
 def test_poly_mul_matches_scalar():
     gf = GF2m(7, 0x89)
     ref = ref_field(gf)
