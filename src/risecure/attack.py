@@ -126,11 +126,12 @@ def read_csv(path, mode, width):
 
     A file that is not that form raises ValueError naming the line: a missing
     or other header, a row that is not a challenge of ceil(width/8) bytes in
-    hex and a response bit 0 or 1.
+    hex, its padding bits in the last byte zero, and a response bit 0 or 1.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     size = -(-checked_int(width, "width", 1) // 8)
+    padding = (1 << (8 * size - width)) - 1  # the low bits of the last byte, past the challenge
     challenges, responses = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -142,11 +143,12 @@ def read_csv(path, mode, width):
             try:
                 hex_str, bit = row
                 raw = np.frombuffer(bytes.fromhex(hex_str), dtype=np.uint8)
-                if len(raw) != size or bit not in ("0", "1"):
+                if len(raw) != size or raw[-1] & padding or bit not in ("0", "1"):
                     raise ValueError
             except ValueError:
                 raise ValueError(f"line {reader.line_num}: expected a challenge of {size} bytes "
-                                 f"in hex and a bit 0 or 1, got {row}") from None
+                                 f"in hex with zero padding bits and a bit 0 or 1, "
+                                 f"got {row}") from None
             challenges.append(np.unpackbits(raw)[:width])
             responses.append(int(bit))
     return CrpDataset(np.array(challenges, dtype=np.uint8).reshape(len(responses), width),

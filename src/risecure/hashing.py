@@ -3,9 +3,9 @@
 SHA3-256 is the only output hash, as in the paper's hardware.
 
 Widths are rigid on purpose. R2 must be exactly the code length and the
-outer challenge C exactly 128 bits, so no length-extension or padding games
-are possible; any deviation, or a bit other than 0 or 1, raises instead of
-truncating, padding or packing two inputs to one digest.
+outer challenge C exactly 128 bits (or 16 bytes), so no length-extension or
+padding games are possible; any deviation, or a bit other than 0 or 1,
+raises instead of truncating, padding or packing two inputs to one digest.
 """
 
 import hashlib
@@ -30,11 +30,18 @@ def bytes_to_bits(data):
 
 
 def compose_response(r2_bits, c_bits, n_code):
-    """R3 = SHA3-256(R2 || C) as a 256-bit vector; widths and bit values checked exactly."""
-    h = hashlib.sha3_256()
-    h.update(bits_to_bytes(checked_word(r2_bits, n_code, 1, "R2")))
-    h.update(bits_to_bytes(checked_word(c_bits, OUTER_CHALLENGE_BITS, 1, "outer challenge")))
-    return bytes_to_bits(h.digest())
+    """R3 = SHA3-256(R2 || C) as a 256-bit vector; widths and bit values checked exactly.
+
+    C is 128 bits, or exactly 16 `bytes` holding them most significant bit
+    first, as the ISA reads them from memory; both give the same digest.
+    """
+    r2 = bits_to_bytes(checked_word(r2_bits, n_code, 1, "R2"))
+    if type(c_bits) is not bytes:
+        c_bits = bits_to_bytes(checked_word(c_bits, OUTER_CHALLENGE_BITS, 1, "outer challenge"))
+    elif len(c_bits) != OUTER_CHALLENGE_BITS // 8:
+        raise ValueError(f"outer challenge must be {OUTER_CHALLENGE_BITS // 8} bytes, "
+                         f"got {len(c_bits)}")
+    return bytes_to_bits(hashlib.sha3_256(r2 + c_bits).digest())
 
 
 def unpredictability_report(samples):

@@ -28,15 +28,21 @@ trapped instruction retires nothing: registers, memory and pc keep their values.
 
 step is the reference semantics; run executes by basic block. A block is
 the straight-line run of words from an entry pc up to and including the
-first branch or jump, translated once into one Python function over the
-registers and memory; the branch predicates and ALU ops are inlined from
-the same expression text step's functions are compiled from. A block is a
+first branch, jump or custom instruction, translated once into one Python
+function over the registers and memory; the branch predicates and ALU ops
+are inlined from the same expression text step's functions are compiled
+from, and a custom instruction calls its handler in place. A block is a
 function of its bytes alone (its code is pc-relative), so translations are
 cached by their bytes, and each machine keeps the block last run from each
 pc, checked on entry with one slice compare against memory: a program that
-writes its own code needs no invalidation. Custom instructions, ebreak and
-every word that traps run through step, as does every instruction while
-step is wrapped (the benchmark's tracer counts its calls).
+writes its own code needs no invalidation. A block whose closing branch
+targets its own entry loops on itself while the step budget allows, each
+pass ending early on a store into its own words, so the check made on entry
+holds for every pass (direct block chaining as in QEMU, Bellard, USENIX ATC
+2005, limited to the one case that needs no invalidation). ebreak, every
+word that traps and a custom instruction with no device attached run
+through step, as does every instruction while step is wrapped (the
+benchmark's tracer counts its calls).
 """
 
 import functools
@@ -49,7 +55,7 @@ import numpy as np
 
 from .buffer import LookasideBuffer, sample_with_buffer
 from .extractor import enroll
-from .hashing import DIGEST_BITS, OUTER_CHALLENGE_BITS, bits_to_bytes, bytes_to_bits
+from .hashing import DIGEST_BITS, OUTER_CHALLENGE_BITS, bits_to_bytes
 from .prng import checked_int, derive_seed, is_integer
 
 CUSTOM_OPCODE = 0b0101011
@@ -246,18 +252,19 @@ class PufDevice:
         self.buffer.insert((idx, c0), (r2, helper))
         return helper
 
-    def sample_r3(self, idx, outer_bits):
+    def sample_r3(self, idx, outer_challenge):
         """Hashed response for an enrolled index; None on decode failure.
 
-        Every call consumes one read seed, hit or miss, so replays stay
-        aligned with instruction-driven executions.
+        The outer challenge is 128 bits, or 16 bytes as compose_response
+        takes them. Every call consumes one read seed, hit or miss, so replays
+        stay aligned with instruction-driven executions.
         """
         noise_seed = derive_seed("device-read", self.seed, self.read_count)
         self.read_count += 1
         c0 = self.enrolled_c0[idx]
         return sample_with_buffer(
             self.buffer, self.pufs[idx], (idx, c0), self.aux_table[idx], self.code,
-            mode="hashed", outer_challenge=outer_bits, noise_seed=noise_seed,
+            mode="hashed", outer_challenge=outer_challenge, noise_seed=noise_seed,
         )
 
 
@@ -356,7 +363,7 @@ def _exec_outer_puf_chal(state, instr):
     idx = int.from_bytes(block[0:4], "little")
     if idx not in dev.aux_table:
         return 1
-    r3 = dev.sample_r3(idx, bytes_to_bits(block[4:]))
+    r3 = dev.sample_r3(idx, block[4:])  # the challenge's bytes, hashed as read
     if r3 is None:
         return 4
     state.mem_write(out_addr, bits_to_bytes(r3))
@@ -434,9 +441,10 @@ _STEP_CODE = step.__code__  # run compares it, so a wrapped step still sees ever
 def run(state, max_steps=1_000_000):
     """Run until halt, trap or max_steps retired instructions; returns the final status.
 
-    Straight-line code runs as translated blocks; custom instructions, ebreak
-    and every word that traps go through step, and so does every instruction
-    while step is replaced by another function (a tracer's wrapper).
+    Straight-line code, loops that branch back to their block's entry and
+    custom instructions run as translated blocks; ebreak and every word that
+    traps go through step, and so does every instruction while step is
+    replaced by another function (a tracer's wrapper).
     """
     max_steps = left = checked_int(max_steps, "max_steps", 1)
     regs, memory = _checked_entry(state)
@@ -454,9 +462,9 @@ def run(state, max_steps=1_000_000):
             if n > left:
                 break
             if n:
-                pc, done = block(regs, memory, pc)
+                pc, done = block(state, regs, memory, pc, left)
                 left -= done
-                if done == n:
+                if done >= n:  # one pass or more: pc is entered anew
                     continue
             state.pc = pc  # step runs the word a block stopped before or could not hold
             left -= 1
@@ -478,8 +486,14 @@ def _checked_entry(state):
     Numpy integers become ints in place, so blocks and step see one value
     type; any other value raises ValueError naming it.
     """
-    state.pc = checked_int(state.pc, "pc")
     regs = state.regs
+    try:  # the common case: one tuple compare finds 32 ints, one pack checks their range
+        if type(state.pc) is int and type(regs) is list and tuple(map(type, regs)) == _INT_REGS \
+                and _REGS.pack(*regs):
+            return regs, state.memory
+    except struct.error:
+        pass
+    state.pc = checked_int(state.pc, "pc")
     if type(regs) is not list or len(regs) != 32:
         raise ValueError(f"regs must be a list of 32 registers, got {regs!r}")
     for i, v in enumerate(regs):
@@ -488,6 +502,7 @@ def _checked_entry(state):
     return regs, state.memory
 
 
+_REGS, _INT_REGS = struct.Struct("<32I"), (int,) * 32
 BLOCK_MAX_WORDS = 32  # so a block, and the time to translate it, stays small
 BLOCK_CACHE_SIZE = 1024  # translated blocks kept by their bytes, and block entries per machine
 _STORE_INTO = {1: "memory[a] = {v} & 0xFF", 2: "_sh(memory, a, {v} & 0xFFFF)", 4: "_sw(memory, a, {v})"}
@@ -497,7 +512,7 @@ _BLOCK_GLOBALS = {"_sext": _sext, "_sh": struct.Struct("<H").pack_into, "_sw": _
 
 def _block_words(memory, pc):
     """How many words from pc one block runs: up to and including the first
-    branch or jump, stopping before a custom instruction, ebreak, an
+    branch, jump or custom instruction, stopping before ebreak, an
     undecodable word or the end of memory, and after BLOCK_MAX_WORDS."""
     n = 0
     if pc % 4 == 0 and pc >= 0:
@@ -506,10 +521,10 @@ def _block_words(memory, pc):
                 opcode = _decode_word(_WORD.unpack_from(memory, addr)[0]).opcode
             except IllegalInstruction:
                 break
-            if opcode in (CUSTOM_OPCODE, OP_SYSTEM):
+            if opcode == OP_SYSTEM:
                 break
             n += 1
-            if opcode in (OP_BRANCH, OP_JAL, OP_JALR):
+            if opcode in (OP_BRANCH, OP_JAL, OP_JALR, CUSTOM_OPCODE):
                 break
     return n
 
@@ -518,19 +533,27 @@ def _block_words(memory, pc):
 def _translate(code):
     """A function running the words in `code` as step runs them, at any pc.
 
-    block(regs, memory, pc) returns the next pc and the number of words it
-    retired. That is fewer than all of them only when it stops before a word
-    that traps, which step then runs, or after a store into one of its own
+    block(state, regs, memory, pc, left) returns the next pc and the number
+    of words it retired. A block whose closing branch targets its own entry
+    runs pass after pass while `left` holds a whole pass, and a pass ends
+    after a store into any of its words, so the entry check stays valid. A
+    custom instruction, always a block's last word, calls its handler in
+    place with state.pc on it. A block retires less than one pass only when
+    it stops before a word that traps (a custom instruction with no device
+    among them), which step then runs, or after a store into one of its own
     later words, whose new text step then runs.
     """
     n = len(code) // 4
-    lines = ["def block(regs, memory, pc):", "size = len(memory)"]
+    last = _decode_word(_WORD.unpack_from(code, 4 * n - 4)[0])
+    loop = last.opcode == OP_BRANCH and last.imm == 4 - 4 * n
+    d = "done + " if loop else ""  # a loop's returns count the passes before this one
+    lines = []
     for i in range(n):
         ins = _decode_word(_WORD.unpack_from(code, 4 * i)[0])
         op, after = ins.opcode, f"pc + {4 * i + 4}"
         a = f"regs[{ins.rs1}]"
         b = f"regs[{ins.rs2}]" if op in (OP_REG, OP_BRANCH) else f"({ins.imm})"
-        stop = f"return pc + {4 * i}, {i}"  # step runs this word, and traps on it
+        stop = f"return pc + {4 * i}, {d}{i}"  # step runs this word, and traps on it
         jump = f"return (pc + {4 * i + ins.imm}) & 0xFFFFFFFF, {n}" if ins.imm % 4 == 0 else stop
         value = None  # rd's new value
         if op in (OP_IMM, OP_REG):
@@ -545,11 +568,16 @@ def _translate(code):
         elif op == OP_STORE:
             lines += [f"a = ({a} + {ins.imm}) & 0xFFFFFFFF", f"if a + {ins.op} > size: {stop}",
                       _STORE_INTO[ins.op].format(v=f"regs[{ins.rs2}]")]
-            if i + 1 < n:  # a store into a later word ends the block before it
-                lines.append(f"if a < pc + {4 * n} and {after} < a + {ins.op}: "
-                             f"return ({after}) & 0xFFFFFFFF, {i + 1}")
+            if i + 1 < n:  # a store into a later word ends the block before it; in a loop, into any
+                lines.append(f"if a < pc + {4 * n} and {'pc' if loop else after} < a + {ins.op}: "
+                             f"return ({after}) & 0xFFFFFFFF, {d}{i + 1}")
         elif op == OP_BRANCH:
-            lines.append(f"if {ins.expr.format(a=a, b=b)}: {jump}")
+            taken = f"done += {n}; continue" if loop else jump
+            lines.append(f"if {ins.expr.format(a=a, b=b)}: {taken}")
+        elif op == CUSTOM_OPCODE:  # as step runs it: rd gets the handler's status
+            lines += [f"if state.device is None: {stop}", f"state.pc = pc + {4 * i}",
+                      "v = _custom.op(state, _custom)"]
+            value = "v & 0xFFFFFFFF"
         elif op == OP_JAL:
             value = None if ins.imm % 4 else f"({after}) & 0xFFFFFFFF"
         else:  # jalr
@@ -560,9 +588,13 @@ def _translate(code):
             lines.append(f"regs[{ins.rd}] = {value}")
         if op in (OP_JAL, OP_JALR):
             lines.append(jump)
-    lines.append(f"return (pc + {4 * n}) & 0xFFFFFFFF, {n}")
-    scope = {}
-    exec("\n    ".join(lines), _BLOCK_GLOBALS, scope)
+    lines.append(f"return (pc + {4 * n}) & 0xFFFFFFFF, {d}{n}")
+    if loop:  # the first pass fits, as run checks
+        lines = ["done = 0", f"while done + {n} <= left:", *["    " + line for line in lines],
+                 "return pc, done"]
+    scope = dict(_BLOCK_GLOBALS, _custom=last)
+    exec("\n    ".join(["def block(state, regs, memory, pc, left):", "size = len(memory)", *lines]),
+         scope)
     return scope["block"]
 
 

@@ -59,15 +59,19 @@ def checked_int(value, name, lo=None, hi=None) -> int:
     return int(value)
 
 
+_SEED = struct.Struct("<Q").pack
+
+
 def _domain_hash(tag: str, seeds) -> bytes:
     """SHA-256 over the tag and each seed's low 64 bits; a seed that is not an integer
-    raises ValueError, so every seed of stream and derive_seed is checked here."""
-    h = hashlib.sha256()
-    h.update(tag.encode("utf-8"))
-    h.update(b"\x00")
-    for s in seeds:
-        h.update(struct.pack("<Q", checked_int(s, "seed") & MASK64))
-    return h.digest()
+    raises ValueError, so every seed of stream and derive_seed is checked here.
+
+    The bytes are hashed in one call; a precompiled pack per seed measured
+    faster than one pack with a format built for the seed count.
+    """
+    parts = [tag.encode("utf-8"), b"\x00"]
+    parts += [_SEED((s if type(s) is int else checked_int(s, "seed")) & MASK64) for s in seeds]
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def derive_seed(tag: str, *seeds: int) -> int:

@@ -11,9 +11,11 @@ through and the raw Philox words under them, the public mixers and the hash
 stage, one enroll -> noisy reconstruct -> hashed-output route per PUF kind
 (SRAM on BCH, arbiter on RS, 4-XOR arbiter on BCH; each read at noise seed 3
 carries errors within t, so every route decodes), the buffer's FIFO policy,
-and the memory an init + challenge program leaves behind. A FAIL means the
-package's bits changed, or numpy's: NEP 19 lets `Generator` methods change
-their algorithms between feature releases.
+the memory an init + challenge program leaves behind, and a second challenge
+after its index was evicted, which the device decodes from a noisy read at a
+`device-read` seed. A FAIL means the package's bits changed, or numpy's:
+NEP 19 lets `Generator` methods change their algorithms between feature
+releases.
 """
 
 import hashlib
@@ -61,16 +63,40 @@ def _fifo_trace():
     return [bytes(trace + list(buf.entries))]
 
 
+def _isa_machine(capacity, indices):
+    """A 1 KiB machine on an SRAM device: PUFs 0 .. indices-1, each with an init block
+    at 0x200 + 0x10 * index (c0 = 3), and a challenge block for index 0 at 0x220."""
+    device = PufDevice(get_code("bch"), seed=4, capacity=capacity)
+    state = MachineState(memory_size=0x400, device=device)
+    for idx in range(indices):
+        device.register(idx, SramPuf(5 + idx, num_blocks=4, block_bits=127, p=0.02))
+        state.mem_write(0x200 + 0x10 * idx, idx.to_bytes(4, "little") + (3).to_bytes(8, "little"))
+    state.mem_write(0x220, bytes(4) + OUTER)
+    return state
+
+
 def _isa_program():
     """The status and memory after inner_puf_init and outer_puf_chal on an SRAM device."""
-    device = PufDevice(get_code("bch"), seed=4)
-    device.register(0, SramPuf(5, num_blocks=4, block_bits=127, p=0.02))
-    state = MachineState(memory_size=0x400, device=device)
-    state.mem_write(0x200, bytes(4) + (3).to_bytes(8, "little"))  # index 0, c0 = 3
-    state.mem_write(0x220, bytes(4) + OUTER)  # index 0, the outer challenge
+    state = _isa_machine(16, 1)
     state.load_words(0, li32(5, 0x200) + [asm_inner_puf_init(10, 5)] + li32(6, 0x220)
                      + li32(7, 0x300) + [asm_outer_puf_chal(11, 6, 7), asm_ebreak()])
     return [run(state).encode(), bytes(state.memory)]
+
+
+def _isa_noise_read():
+    """On a capacity-1 buffer: init 0, a challenge (a hit), init 1, which evicts index 0,
+    and the challenge again, so the device reads and decodes at its second device-read seed.
+
+    Its status, memory, buffer counters and read count.
+    """
+    state = _isa_machine(1, 2)
+    state.load_words(0, li32(5, 0x200) + li32(6, 0x210) + li32(7, 0x220) + li32(28, 0x300)
+                     + li32(29, 0x320) + [asm_inner_puf_init(10, 5), asm_outer_puf_chal(11, 7, 28),
+                                          asm_inner_puf_init(12, 6), asm_outer_puf_chal(13, 7, 29),
+                                          asm_ebreak()])
+    status = run(state).encode()
+    counters = [*state.device.buffer.counters().values(), state.device.read_count]
+    return [status, bytes(state.memory), np.array(counters, dtype=np.int64)]
 
 
 def _draw(method, *args):
@@ -97,6 +123,7 @@ CHECKS = [
     ("route-xor-bch", lambda: _route(XorArbiterPuf(1, sigma=0.2), 1, "bch"), "9792ce231c5e49b4"),
     ("buffer-fifo-trace", _fifo_trace, "4948687c6ba9b338"),
     ("isa-init-chal-program", _isa_program, "e09170cbb230bb7a"),
+    ("isa-noise-read", _isa_noise_read, "b809609cbafd188f"),
 ]
 
 

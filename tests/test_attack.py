@@ -100,23 +100,25 @@ _HEADER = "challenge_hex,response_bit\n"
 _ROW = "00112233445566ff,1\n"
 
 
-@pytest.mark.parametrize("text,mode,line", [
-    ("challenge,bit\nff,1\n", "raw_arbiter", 1),
-    ("", "raw_arbiter", 1),
-    (_HEADER + _ROW + "00112233445566ff,2\n", "raw_arbiter", 3),
-    (_HEADER + "00112233445566ff,-1\n", "raw_arbiter", 2),
-    (_HEADER + _ROW + _ROW + "0011223344556677ff,0\n", "raw_arbiter", 4),
-    (_HEADER + "0011,0\n", "raw_arbiter", 2),
-    (_HEADER + "zz112233445566ff,0\n", "raw_arbiter", 2),
-    (_HEADER + _ROW + "00112233445566ff\n", "raw_arbiter", 3),
-    (_HEADER + _ROW, "raw", 0),
+@pytest.mark.parametrize("text,mode,line,width", [
+    ("challenge,bit\nff,1\n", "raw_arbiter", 1, 64),
+    ("", "raw_arbiter", 1, 64),
+    (_HEADER + _ROW + "00112233445566ff,2\n", "raw_arbiter", 3, 64),
+    (_HEADER + "00112233445566ff,-1\n", "raw_arbiter", 2, 64),
+    (_HEADER + _ROW + _ROW + "0011223344556677ff,0\n", "raw_arbiter", 4, 64),
+    (_HEADER + "0011,0\n", "raw_arbiter", 2, 64),
+    (_HEADER + "zz112233445566ff,0\n", "raw_arbiter", 2, 64),
+    (_HEADER + _ROW + "00112233445566ff\n", "raw_arbiter", 3, 64),
+    (_HEADER + _ROW, "raw", 0, 64),
+    # at width 60 the last byte's low 4 bits are padding; 0x...f0 is the widest legal row
+    (_HEADER + "fffffffffffffff0,1\n" + "ffffffffffffffff,1\n", "raw_arbiter", 3, 60),
 ], ids=["bad-header", "empty", "bit-2", "bit-minus-1", "long-challenge", "short-challenge",
-        "not-hex", "one-field", "unknown-mode"])
-def test_read_csv_rejects_a_malformed_file_naming_the_line(tmp_path, text, mode, line):
+        "not-hex", "one-field", "unknown-mode", "nonzero-padding-bits"])
+def test_read_csv_rejects_a_malformed_file_naming_the_line(tmp_path, text, mode, line, width):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
     with pytest.raises(ValueError, match=f"^line {line}: " if line else "^mode must be"):
-        read_csv(bad, mode, 64)
+        read_csv(bad, mode, width)
 
 
 def test_run_attack_report_shape_and_determinism():

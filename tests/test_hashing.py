@@ -44,6 +44,22 @@ def test_wrong_widths_rejected():
             compose_response(r_ok, np.zeros(bad, dtype=np.uint8), 127)
 
 
+def test_outer_challenge_as_16_bytes_hashes_like_its_128_bits():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        r2 = rng.integers(0, 2, 127, dtype=np.uint8)
+        c = rng.integers(0, 2, OUTER_CHALLENGE_BITS, dtype=np.uint8)
+        assert np.array_equal(compose_response(r2, bits_to_bytes(c), 127),
+                              compose_response(r2, c, 127))
+
+
+@pytest.mark.parametrize("c", [bytes(15), bytes(17), bytearray(16)],
+                         ids=["15-bytes", "17-bytes", "bytearray"])
+def test_outer_challenge_bytes_of_another_length_or_type_are_rejected(c):
+    with pytest.raises(ValueError, match="outer challenge"):
+        compose_response(np.zeros(127, dtype=np.uint8), c, 127)
+
+
 def test_single_bit_challenge_flip_avalanche():
     r2 = stream("t", 0).integers(0, 2, 127, dtype=np.uint8)
     c = stream("t", 1).integers(0, 2, OUTER_CHALLENGE_BITS, dtype=np.uint8)

@@ -20,7 +20,7 @@ def _cli_failures(capsys):
 def test_selftest_passes_clean():
     ok, results = run_selftest()
     assert ok
-    assert [name for name, _, _ in results] == NAMES and len(NAMES) == 13
+    assert [name for name, _, _ in results] == NAMES and len(NAMES) == 14
     assert all(passed and detail == "" for _, passed, detail in results)
 
 
@@ -32,10 +32,11 @@ def test_fault_injection_is_detected(corrupted_decoder, capsys):
     ok, results = run_selftest()
     assert not ok
     failed = {name: detail for name, passed, detail in results if not passed}
-    # only the routes decode: the ISA program's challenge is a buffer hit
+    # only the routes and the ISA noise read decode: the ISA program's challenge is a buffer hit
+    assert failed.pop("isa-noise-read").startswith("digest ")
     assert failed == dict.fromkeys(["route-sram-bch", "route-arbiter-rs", "route-xor-bch"],
                                    "ValueError: reconstruct did not return R2")
-    assert _cli_failures(capsys) == set(failed)
+    assert _cli_failures(capsys) == set(failed) | {"isa-noise-read"}
 
 
 def test_rekeyed_streams_fail_every_prng_and_route_check(monkeypatch, capsys):
@@ -78,8 +79,9 @@ def test_each_route_decodes_errors_within_t(monkeypatch):
 
     monkeypatch.setattr(SystematicCode, "_correct", counting)
     assert run_selftest()[0]
-    # each route decodes twice (reconstruct, then the hashed output): 4, 10 and 4 errors
-    assert [w for w, _ in weights] == [4, 4, 10, 10, 4, 4]
+    # each route decodes twice (reconstruct, then the hashed output): 4, 10 and 4 errors;
+    # the ISA noise read decodes once, after its eviction: 3 errors
+    assert [w for w, _ in weights] == [4, 4, 10, 10, 4, 4, 3]
     assert all(0 < w <= t for w, t in weights)
 
 
@@ -91,3 +93,10 @@ def test_selftest_takes_no_seed(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--seed", "1"])
     assert exc.value.code == 2
+
+
+def test_isa_noise_read_misses_and_gives_the_hits_r3():
+    status, memory, counters = selftest._isa_noise_read()
+    assert status == b"halted"
+    assert list(counters) == [1, 1, 1, 2, 2]  # hits, misses, decode calls, evictions, reads
+    assert memory[0x300:0x320] == memory[0x320:0x340] != bytes(32)
