@@ -5,12 +5,11 @@ constructed over GF(2^7) with primitive polynomial x^7 + x^3 + 1. The codec is
 the family `galois.SystematicCode` at a symbol width of 1 bit: the core derives
 the generator from the roots alpha^1..alpha^2t and their 2-cyclotomic
 conjugates; every error magnitude of a binary code is 1, so its decoder flips
-the located bits with no Forney step. Bit vectors are numpy uint8 arrays in
-ascending-power order: ``word[i]`` is the coefficient of x^i, so a systematic
-codeword carries its n-k parity bits first and the message bits on top.
+the located bits with no Forney step. Words are bit vectors, numpy uint8 arrays
+in ascending-power order: ``word[i]`` is the coefficient of x^i, so a
+systematic codeword carries its n-k parity bits first and the message bits on
+top. `ReedSolomonCode` takes and returns the same bit vectors.
 """
-
-import numpy as np
 
 from .galois import GF2m, SystematicCode, checked_word
 
@@ -28,18 +27,17 @@ class BchCode(SystematicCode):
 
     def __init__(self, m: int = 7, t: int = 15, primitive_poly: int = 0x89):
         super().__init__(GF2m(m, primitive_poly), t, s=1)
-        self.generator = self.generator.astype(np.uint8)
 
-    def encode(self, msg_bits) -> np.ndarray:
-        return self._encode_bits(checked_word(msg_bits, self.k, 1, "message"))
+    def encode(self, msg_bits):
+        """Systematic encode: returns [n-k parity bits, k message bits]."""
+        return self._encode(checked_word(msg_bits, self.k_bits, 1, "message"))
 
-    def syndromes(self, rx_bits) -> np.ndarray:
-        return self._syndromes(checked_word(rx_bits, self.n, 1, "received word"))
+    def syndromes(self, rx_bits):
+        return self._syndromes(checked_word(rx_bits, self.n_bits, 1, "received word"))
 
     def decode(self, rx_bits):
         """Correct up to t bit errors; return message bits or None."""
-        return self._correct(checked_word(rx_bits, self.n, 1, "received word"))
+        return self._correct(checked_word(rx_bits, self.n_bits, 1, "received word"))
 
-    # its symbols are bits, so the bit contract is the symbol one
     encode_bits = encode
     decode_bits = decode

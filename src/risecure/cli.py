@@ -20,7 +20,7 @@ from .bench import PASSES, run_batch_bench, run_throughput_bench
 from .buffer import select_output
 from .extractor import HelperData, enroll, get_code
 from .hashing import OUTER_CHALLENGE_BITS, bits_to_bytes, bytes_to_bits
-from .isa import MachineState, MemoryFault, PufDevice, run
+from .isa import MachineState, PufDevice, run
 from .prng import checked_int, derive_seed, stream
 from .puf import new_puf, puf_from_config, puf_to_config
 
@@ -178,10 +178,7 @@ def cmd_exec(args):
         device.register(args.idx, puf)
     state = MachineState(memory_size=args.mem_size, device=device)
     with open(args.program) as fh:
-        try:
-            state.load_hex_program(fh.read())
-        except MemoryFault as exc:
-            raise ValueError(f"program does not fit in {args.mem_size} bytes: {exc}") from exc
+        state.load_hex_program(fh.read())
     state.pc = args.entry
     status = run(state, max_steps=args.max_steps)
     print(json.dumps(state.dump(), indent=2))

@@ -19,12 +19,16 @@ is the binary subfield subcode of the Reed-Solomon code over the same field
 (MacWilliams & Sloane, ch. 10), so one formula gives both generators: the
 product of (x - alpha^e) over e = 1..2t, closed under e -> e*2^s mod q-1,
 where s is the symbol width (1 bit for BCH, m bits for RS, for which every
-exponent is its own conjugate). The family encodes, decodes by syndromes,
-Berlekamp-Massey, a Chien search over all q-1 positions and (for RS)
-Forney to the codeword within t whenever one exists, and owns the bit
-contract (`code_id`, `encode_bits`, `decode_bits`). For a binary code
-S_2j = S_j^2, so Berlekamp-Massey runs in t steps, not 2t. A codec is a
-parameter set: its family name, its field, t and s.
+exponent is its own conjugate). Both codecs take and return one word
+shape: a bit vector, s bits per symbol, most significant first; the
+syndrome map reads its packed bytes at s bits per symbol. The family
+encodes, decodes by syndromes, Berlekamp-Massey, a Chien search over all
+q-1 positions and (for RS) Forney to the codeword within t whenever one
+exists; a Forney magnitude flips its s bits in the located symbol. For a
+binary code S_2j = S_j^2, so Berlekamp-Massey runs in t steps, not 2t. A
+codec is a parameter set: its family name, its field, t and s. The size
+of every slice table follows from (m, t, s) before it is built, and a
+code whose tables would pass TABLE_BYTES is refused with ValueError.
 """
 
 import numpy as np
@@ -58,6 +62,11 @@ class SliceMap:
         self.table.flags.writeable = False
         self.starts = np.arange(0, self.table.shape[1], 16)  # first column of each slice
 
+    @staticmethod
+    def nbytes(in_bits, out_bytes):
+        """The bytes of the table of a map from in_bits to out_bytes, computed before building it."""
+        return 256 * -(-in_bits // 8) * -(-out_bytes // 8)
+
     def apply(self, data):
         """The output bytes at the input bytes `data`, which may stop short of the table's input."""
         cols = _NIBBLES.take(data, axis=0).ravel()
@@ -65,6 +74,10 @@ class SliceMap:
         cols += self.starts if len(cols) == len(self.starts) else self.starts[: len(cols)]
         return np.bitwise_xor.reduce(self.table.take(cols, axis=1), axis=1).view(np.uint8)
 
+
+# the most bytes one code's parity, syndrome and Chien tables may take together;
+# RS(2047,2031) takes 8.8 MiB, BCH(1023,943,8) 1.3 MiB
+TABLE_BYTES = 64 << 20
 
 # Chien maps shared by equal fields: (m, primitive polynomial) -> SliceMap
 _chien_maps = {}
@@ -216,15 +229,17 @@ def locator_roots(field: GF2m, lam):
 class SystematicCode:
     """Systematic code of length q-1 whose generator has roots alpha^1..alpha^2t.
 
-    Words are symbol arrays in ascending-power order, parity first; as bits,
-    each symbol takes s bits, most significant first. A codec names its
+    Every word is a bit vector: n symbols in ascending-power order, parity
+    first, each symbol s bits, most significant first. A codec names its
     `family`, passes its field, t and symbol width s to __init__, and
-    defines its public symbol-level encode, syndromes and decode on the
-    underscore helpers, taking each word through `checked_word`. `code_id`,
-    `n_bits` and `k_bits` are set once, in __init__. t must be an integer
-    in [1, (q-2)/2], else ValueError naming it: every exponent 1..2t is then
+    defines its public encode, syndromes and decode on the underscore
+    helpers, taking each word through `checked_word`. `code_id`, `n_bits`
+    and `k_bits` are set once, in __init__. t must be an integer in
+    [1, (q-2)/2], else ValueError naming it: every exponent 1..2t is then
     nonzero mod q-1, and so are its conjugates, so k >= 1; a larger t
-    reaches exponent q-1 = 0, every element becomes a root and k = 0.
+    reaches exponent q-1 = 0, every element becomes a root and k = 0. A
+    code whose slice tables would pass TABLE_BYTES raises ValueError naming
+    m and t before any table is built.
     """
 
     family = None  # "bch" or "rs": the first part of code_id
@@ -235,22 +250,29 @@ class SystematicCode:
 
     def __init__(self, field: GF2m, t: int, s: int):
         self.field = field
-        self.n = field.order - 1
-        self.t = t = checked_int(t, "t", 1, self.n // 2)
+        self.n = n = field.order - 1
+        self.t = t = checked_int(t, "t", 1, n // 2)
         self.s = s
         # roots alpha^e for e = 1..2t and their conjugates e * 2^(s*i) mod n;
-        # i < m reaches them all, since 2^m = 1 mod n
-        roots = {(e << s * i) % self.n for e in range(1, 2 * t + 1) for i in range(field.m)}
+        # i < m reaches them all, since 2^m = 1 mod n (products stay below n^2 < 2^32)
+        is_root = np.zeros(n, dtype=bool)
+        for i in range(field.m):
+            is_root[np.arange(1, 2 * t + 1, dtype=np.uint32) * pow(2, s * i, n) % n] = True
+        r, w = np.count_nonzero(is_root), field.dtype.itemsize
+        # parity, syndrome and Chien tables; the Chien map's longest poly is Omega (RS) or Lambda (BCH)
+        size = sum(SliceMap.nbytes(*io) for io in [((n - r) * s, -(-r * s // 8)), (n * s, 2 * t * w),
+                                                   (8 * w * (2 * t if s > 1 else t + 1), n * w)])
+        if size > TABLE_BYTES:
+            raise ValueError(f"m={field.m}, t={t}: slice tables of {size} bytes pass {TABLE_BYTES}")
         g = np.array([1], dtype=np.int64)
-        for e in sorted(roots):
+        for e in np.flatnonzero(is_root):
             g = field.poly_mul(g, [field.exp[e], 1])
         if (g >> s).any():
             raise AssertionError(f"generator coefficients wider than {s} bits")
         self.generator = g
-        r = len(g) - 1
-        self.k = self.n - r
-        self.n_bits, self.k_bits = self.n * s, self.k * s
-        self.code_id = f"{self.family}-{self.n}-{self.k}-{t}"
+        self.k = n - r
+        self.n_bits, self.k_bits = n * s, self.k * s
+        self.code_id = f"{self.family}-{n}-{self.k}-{t}"
         key = (field.m, field.primitive_poly, s, t)
         if key not in self._maps:
             # GF(2) parity bits of each message bit: message symbol i with
@@ -262,9 +284,7 @@ class SystematicCode:
                 rows = np.where(rem != 0, field.exp_np[field.log_np[rem] + shifts], 0)
                 parity[i * s : (i + 1) * s] = self._bits(rows)
                 rem = np.concatenate([[0], rem[:-1]]) ^ field.poly_mul([rem[-1]], g)
-            # received symbols packed 8 bits a byte for s = 1, one field value each otherwise
-            width = 1 if s == 1 else 8 * field.dtype.itemsize
-            syndromes = SliceMap(field.power_rows(self.n, width, np.arange(1, 2 * t + 1)))
+            syndromes = SliceMap(field.power_rows(n, s, np.arange(1, 2 * t + 1)))
             self._maps[key] = SliceMap(np.packbits(parity, axis=1)), syndromes
         self._parity, self._syndrome_map = self._maps[key]
 
@@ -276,40 +296,19 @@ class SystematicCode:
         bits = (syms[..., None] >> np.arange(self.s - 1, -1, -1)) & 1
         return bits.reshape(*syms.shape[:-1], -1).astype(np.uint8)
 
-    def _symbols(self, bits) -> np.ndarray:
-        """Inverse of _bits for a 1-D bit vector."""
-        if self.s == 8:
-            return np.packbits(bits).astype(np.int64)
-        bits = np.asarray(bits, dtype=np.int64).reshape(-1, self.s)
-        return bits @ (1 << np.arange(self.s - 1, -1, -1))
-
-    def _encode_bits(self, msg_bits) -> np.ndarray:
+    def _encode(self, msg) -> np.ndarray:
         """Codeword bits [parity, message] for k_bits uint8 message bits:
         the parity is one SliceMap.apply on the packed message."""
-        parity = self._parity.apply(np.packbits(msg_bits))
-        return np.concatenate([np.unpackbits(parity, count=self.n_bits - self.k_bits), msg_bits])
-
-    def encode_bits(self, msg_bits) -> np.ndarray:
-        """Codeword bits for a k_bits message; bits map to symbols MSB first."""
-        return self._encode_bits(checked_word(msg_bits, self.k_bits, 1, "message"))
-
-    def decode_bits(self, rx_bits):
-        """Message bits of the codeword within t symbols of rx_bits, or None."""
-        bits = checked_word(rx_bits, self.n_bits, 1, "received word")
-        msg = self.decode(self._symbols(bits))
-        if msg is None:
-            return None
-        return self._bits(msg)
+        parity = self._parity.apply(np.packbits(msg))
+        return np.concatenate([np.unpackbits(parity, count=self.n_bits - self.k_bits), msg])
 
     def _syndromes(self, rx) -> np.ndarray:
-        """S_j = rx(alpha^j) for j = 1..2t, one SliceMap.apply on the packed bits
-        (s = 1) or on the field values (s = m) of rx."""
+        """S_j = rx(alpha^j) for j = 1..2t, one SliceMap.apply on the packed bits of rx."""
         dtype = self.field.dtype
-        data = np.packbits(rx) if self.s == 1 else rx.astype(dtype).view(np.uint8)
-        return self._syndrome_map.apply(data)[: 2 * self.t * dtype.itemsize].view(dtype)
+        return self._syndrome_map.apply(np.packbits(rx))[: 2 * self.t * dtype.itemsize].view(dtype)
 
     def _correct(self, rx):
-        """Message symbols of the codeword within t symbols of rx, or None.
+        """Message bits of the codeword within t symbols of rx, or None.
 
         Only two checks can reject: Berlekamp-Massey's LFSR length l must be
         at most t and equal deg(Lambda), and the Chien search must find l
@@ -318,12 +317,13 @@ class SystematicCode:
         LFSR), so removing the Y_i zeroes all 2t syndromes. For s = 1 the
         binary input gives S_2j = S_j^2, so each Y_i is in GF(2), hence 1:
         the located bits flip. For RS (s = m), Forney with first root alpha^1
-        gives Y_i = Omega(X_i^-1) / Lambda'(X_i^-1), Omega = S Lambda mod x^2t.
+        gives Y_i = Omega(X_i^-1) / Lambda'(X_i^-1), Omega = S Lambda mod x^2t,
+        and the s bits of each Y_i flip in its located symbol.
         """
         field, t = self.field, self.t
         synd = self.syndromes(rx)
         if not synd.any():
-            return rx[self.n - self.k :].copy()
+            return rx[self.n_bits - self.k_bits :].copy()
         lam, l = berlekamp_massey(field, synd, binary=self.s == 1)
         if l > t or len(lam) - 1 != l:
             return None
@@ -337,5 +337,6 @@ class SystematicCode:
             omega = field.poly_mul(synd, lam)[: 2 * t]
             lam_deriv = np.where(np.arange(1, len(lam)) % 2, lam[1:], 0)  # odd-degree terms, shifted
             num, den = field.chien(omega)[pos], field.chien(lam_deriv)[pos]
-            fixed[pos] ^= field.exp_np[(field.log_np[num] - field.log_np[den]) % self.n]
-        return fixed[self.n - self.k :]
+            mag = field.exp_np[(field.log_np[num] - field.log_np[den]) % self.n]
+            fixed.reshape(self.n, self.s)[pos] ^= self._bits(mag[:, None])
+        return fixed[self.n_bits - self.k_bits :]

@@ -308,9 +308,12 @@ class MachineState:
     def load_hex_program(self, text):
         """Load lines of the form 'ADDR: WORD' (hex); '#' starts a comment.
 
-        A line of another form, or a word outside [0, 2^32), raises
-        ValueError naming its line number.
+        Every line is checked before any word is written. A line of another
+        form, a word outside [0, 2^32) or a word that does not lie wholly in
+        memory raises ValueError naming its line number, and memory is left
+        as it was.
         """
+        words = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -321,7 +324,12 @@ class MachineState:
             except (ValueError, OverflowError):
                 raise ValueError(f"program line {lineno}: expected 'ADDR: WORD' in hex with "
                                  f"WORD in [0, 0xffffffff], got {line!r}") from None
-            self.mem_write(addr, data)
+            if not 0 <= addr <= len(self.memory) - 4:
+                raise ValueError(f"program does not fit in {len(self.memory)} bytes: "
+                                 f"line {lineno} writes [{addr:#x}, +4)")
+            words.append((addr, data))
+        for addr, data in words:
+            self.memory[addr : addr + 4] = data
 
     def dump(self):
         """JSON-ready snapshot: registers, pc, status, memory digest."""

@@ -28,7 +28,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def corrupted_decoder(monkeypatch):
-    """Patch the code family's decoder to flip one message symbol of its output."""
+    """Patch the code family's decoder to flip one message bit of its output."""
     correct = SystematicCode._correct
 
     def corrupted(code, rx):

@@ -4,6 +4,10 @@ Products come from a carry-less multiply reduced by the primitive
 polynomial, never from the exp/log tables of `risecure.galois.GF2m`, so a
 wrong table cannot also be wrong here. Each field is built once: its full
 product table costs 2^2m carry-less multiplies (about 65,000 for GF(256)).
+
+The codecs take and return bit vectors. The symbol conversions here use
+shifts of their own, never the package's `_bits`, so a test can state a
+case in symbols and convert at the codec's edges.
 """
 
 import functools
@@ -70,3 +74,27 @@ def _field(m, primitive_poly):
 def ref_field(field):
     """The reference field with the same m and primitive polynomial as `field`."""
     return _field(field.m, field.primitive_poly)
+
+
+def symbols_to_bits(syms, s):
+    """Each symbol along the last axis as s bits, most significant first, by shifts."""
+    syms = np.asarray(syms, dtype=np.int64)
+    bits = (syms[..., None] >> np.arange(s - 1, -1, -1)) & 1
+    return bits.reshape(*syms.shape[:-1], -1).astype(np.uint8)
+
+
+def bits_to_symbols(bits, s):
+    """Every s bits along the last axis, most significant first, as one int64 symbol."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return (bits.reshape(*bits.shape[:-1], -1, s) << np.arange(s - 1, -1, -1)).sum(axis=-1)
+
+
+def encode_symbols(code, msg):
+    """code.encode on a message of symbols, as a codeword of symbols."""
+    return bits_to_symbols(code.encode(symbols_to_bits(msg, code.s)), code.s)
+
+
+def decode_symbols(code, rx):
+    """code.decode on a received word of symbols: the message symbols, or None."""
+    got = code.decode(symbols_to_bits(rx, code.s))
+    return None if got is None else bits_to_symbols(got, code.s)

@@ -22,7 +22,8 @@ from risecure.hashing import OUTER_CHALLENGE_BITS, compose_response
 from risecure.prng import stream
 from risecure.reed_solomon import ReedSolomonCode
 
-from gf_ref import clmul_mod, ref_field
+from gf_ref import (bits_to_symbols, clmul_mod, decode_symbols, encode_symbols, ref_field,
+                    symbols_to_bits)
 
 
 def _corrupt(code, cw, weight, rng, symbol_max):
@@ -41,9 +42,7 @@ def test_decode_matches_bruteforce_nearest_codeword(code, symbol_max):
     base = symbol_max + 1
     # every message, as digits of its index in base 2^s
     msgs = (np.arange(base ** code.k)[:, None] // base ** np.arange(code.k)) % base
-    if symbol_max == 1:
-        msgs = msgs.astype(np.uint8)
-    book = np.array([code.encode(m) for m in msgs])
+    book = np.array([encode_symbols(code, m) for m in msgs])
     rng = np.random.default_rng(11)
     per_weight = -(-3000 // (code.n + 1))
     for weight in range(code.n + 1):
@@ -53,7 +52,7 @@ def test_decode_matches_bruteforce_nearest_codeword(code, symbol_max):
             dist = np.count_nonzero(book != rx, axis=1)
             near = np.nonzero(dist <= code.t)[0]
             assert len(near) <= 1  # minimum distance 2t+1
-            got = code.decode(rx)
+            got = decode_symbols(code, rx)
             if len(near):
                 assert got is not None and np.array_equal(got, msgs[near[0]]), weight
             else:
@@ -77,7 +76,7 @@ def test_decoder_is_complete_bounded_distance_on_every_syndrome_class(code, symb
     base, r = symbol_max + 1, code.n - code.k
     dtype = np.uint8 if symbol_max == 1 else np.int64
     msgs = _all_words(base ** code.k, code.k, base).astype(dtype)
-    book = np.array([code.encode(m) for m in msgs])
+    book = np.array([encode_symbols(code, m) for m in msgs])
     if symbol_max == 1:
         words = _all_words(2 ** code.n, code.n, 2).astype(dtype)
     else:
@@ -89,7 +88,7 @@ def test_decoder_is_complete_bounded_distance_on_every_syndrome_class(code, symb
     decoded = 0
     for rx in words:  # one word's distances at a time: all at once is words x codewords x n
         near = np.nonzero(np.count_nonzero(book != rx, axis=1) <= code.t)[0]
-        got = code.decode(rx)
+        got = decode_symbols(code, rx)
         if len(near):
             assert got is not None and np.array_equal(got, msgs[near[0]])
             decoded += 1
@@ -114,7 +113,7 @@ def _minpoly_generator(gf, t):
             e = 2 * e % n
         assert set(minpoly.tolist()) <= {0, 1}
         gen = gf.poly_mul(gen, minpoly)
-    return gen.astype(np.uint8)
+    return gen
 
 
 def _root_product_generator(gf, t):
@@ -149,9 +148,10 @@ def test_rs_bit_interface_with_four_bit_symbols():
         msg = rng.integers(0, 2, code.k_bits, dtype=np.uint8)
         cw = code.encode_bits(msg)
         assert cw.shape == (60,) and np.array_equal(cw[16:], msg)
-        # bits map to 4-bit symbols MSB first
+        # bits map to 4-bit symbols MSB first: read so, the word has roots alpha^1..alpha^2t
         syms = cw.reshape(15, 4) @ np.array([8, 4, 2, 1])
-        assert np.array_equal(code.encode(syms[4:]), syms)
+        ref = ref_field(code.field)
+        assert not any(ref.poly_eval(syms, ref.pow_alpha(j)) for j in range(1, 2 * code.t + 1))
         rx = cw.copy()
         for s in rng.choice(code.n, code.t, replace=False):
             rx[4 * s + rng.choice(4, rng.integers(1, 5), replace=False)] ^= 1
@@ -165,10 +165,10 @@ def _outcome_digest(code, weights, symbol_max, per_weight, seed):
     for weight in weights:
         for _ in range(per_weight):
             if symbol_max == 1:
-                cw = code.encode(rng.integers(0, 2, code.k, dtype=np.uint8))
+                cw = encode_symbols(code, rng.integers(0, 2, code.k, dtype=np.uint8))
             else:
-                cw = code.encode(rng.integers(0, symbol_max + 1, code.k))
-            got = code.decode(_corrupt(code, cw, weight, rng, symbol_max))
+                cw = encode_symbols(code, rng.integers(0, symbol_max + 1, code.k))
+            got = decode_symbols(code, _corrupt(code, cw, weight, rng, symbol_max))
             h.update(b"None" if got is None else np.asarray(got, np.uint8).tobytes())
     return h.hexdigest()
 
@@ -198,11 +198,11 @@ BCH, RS = BchCode(), ReedSolomonCode()
 # Each input is checked for its length and its value range [0, 2^width)
 # before any cast: none may index past a table, wrap, or share a digest.
 @pytest.mark.parametrize("call", [
-    lambda: RS.decode(_word_with(255, 7, 256)),
-    lambda: RS.decode(_word_with(255, 7, -1)),
+    lambda: RS.decode(_word_with(2040, 7, 256)),
+    lambda: RS.decode(_word_with(2040, 7, -1)),
     lambda: RS.decode_bits(_word_with(2040, 5, 2, np.uint8)),
-    lambda: RS.syndromes(_word_with(255, 0, 300)),
-    lambda: RS.encode(_word_with(223, 0, 256)),
+    lambda: RS.syndromes(_word_with(2040, 0, 300)),
+    lambda: RS.encode(_word_with(1784, 0, 256)),
     lambda: BCH.syndromes(np.zeros(200, np.uint8)),
     lambda: BCH.syndromes(np.zeros(100, np.uint8)),
     lambda: BCH.decode(_word_with(127, 9, 256)),
@@ -237,7 +237,7 @@ def test_failure_census_beyond_t(code, symbol_max, census):
         failures = miscorrections = 0
         for _ in range(CENSUS_WORDS):
             msg = rng.integers(0, symbol_max + 1, code.k)
-            out = code.decode(_corrupt(code, code.encode(msg), weight, rng, symbol_max))
+            out = decode_symbols(code, _corrupt(code, encode_symbols(code, msg), weight, rng, symbol_max))
             if out is None:
                 failures += 1
             else:
@@ -282,7 +282,7 @@ def test_one_public_syndrome_call_per_decode(code, symbol_max, weight, monkeypat
     monkeypatch.setattr(code, "syndromes", lambda rx: calls.append(1) or public(rx))
     rng = stream("syndrome-calls", weight)
     msg = rng.integers(0, symbol_max + 1, code.k)
-    out = code.decode(_corrupt(code, code.encode(msg), weight, rng, symbol_max))
+    out = decode_symbols(code, _corrupt(code, encode_symbols(code, msg), weight, rng, symbol_max))
     assert np.array_equal(out, msg) and len(calls) == 1
 
 
@@ -296,13 +296,16 @@ _ENCODER_CODES = [
 def _encoder_digest(code):
     """SHA-256 over the dtype and bytes of every codeword of a fixed corpus:
     encode_bits of 200 seeded, the all-zero, the all-one and every single-bit
-    message, then encode of 200 seeded symbol messages."""
+    message, then encode of 200 seeded symbol messages, each codeword read
+    back as uint8 bits (BCH) or int64 symbols (RS)."""
     rng = np.random.default_rng(16)
     k = code.k_bits
     msgs = [np.zeros(k, np.uint8), np.ones(k, np.uint8), *np.eye(k, dtype=np.uint8),
             *rng.integers(0, 2, (200, k), dtype=np.uint8)]
     words = [code.encode_bits(msg) for msg in msgs]
-    words += [code.encode(rng.integers(0, 1 << code.s, code.k)) for _ in range(200)]
+    for _ in range(200):
+        word = code.encode(symbols_to_bits(rng.integers(0, 1 << code.s, code.k), code.s))
+        words.append(word if code.s == 1 else bits_to_symbols(word, code.s))
     h = hashlib.sha256()
     for word in words:
         h.update(word.dtype.str.encode() + word.tobytes())
@@ -332,7 +335,8 @@ def test_parity_table_is_read_only_shared_and_small():
         a, b = make(), make()
         rng = stream("slice-tables", symbol_max)
         msg = rng.integers(0, symbol_max + 1, a.k)
-        assert np.array_equal(a.decode(_corrupt(a, b.encode(msg), a.t, rng, symbol_max)), msg)
+        rx = _corrupt(a, encode_symbols(b, msg), a.t, rng, symbol_max)
+        assert np.array_equal(decode_symbols(a, rx), msg)
         key = (a.field.m, a.field.primitive_poly)
         chien = galois._chien_maps[key]
         b.field.chien([1, 1])  # another field object, a shorter polynomial: the same map
@@ -370,13 +374,13 @@ def test_wide_field_codes_decode_to_scalar_codewords(code, symbol_max):
     rng = stream("wide-field", code.n)
     for weight in (code.t, code.t, code.t + 1, code.t + 2):
         msg = rng.integers(0, symbol_max + 1, code.k)
-        rx = _corrupt(code, code.encode(msg), weight, rng, symbol_max)
-        assert code.syndromes(rx).tolist() == _scalar_syndromes(code, rx)
-        got = code.decode(rx)
+        rx = _corrupt(code, encode_symbols(code, msg), weight, rng, symbol_max)
+        assert code.syndromes(symbols_to_bits(rx, code.s)).tolist() == _scalar_syndromes(code, rx)
+        got = decode_symbols(code, rx)
         if weight == code.t:
             assert np.array_equal(got, msg)
         elif got is not None:
-            cw = code.encode(got)
+            cw = encode_symbols(code, got)
             assert not any(_scalar_syndromes(code, cw)) and np.count_nonzero(cw != rx) <= code.t
 
 
@@ -385,11 +389,29 @@ def test_byte_symbol_conversions_match_the_shift_formula():
     want = ((syms[:, None] >> np.arange(7, -1, -1)) & 1).astype(np.uint8).ravel()
     got = RS._bits(syms)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
-    back = RS._symbols(got)
-    assert back.dtype == np.int64 and np.array_equal(back, syms)
     rng = np.random.default_rng(8)
-    for _ in range(50):
-        word = rng.integers(0, 256, RS.n)
-        assert np.array_equal(RS._symbols(RS._bits(word)), word)
-        bits = rng.integers(0, 2, RS.n_bits, dtype=np.uint8)
-        assert np.array_equal(RS._bits(RS._symbols(bits)), bits)
+    nibbles = ReedSolomonCode(t=2, m=4, primitive_poly=0x13)  # the general path of _bits
+    for code in (RS, nibbles):
+        for _ in range(50):
+            word = rng.integers(0, 1 << code.s, code.n)
+            bits = code._bits(word)
+            assert bits.dtype == np.uint8 and np.array_equal(bits, symbols_to_bits(word, code.s))
+            assert np.array_equal(bits_to_symbols(bits, code.s), word)
+
+
+@pytest.mark.parametrize("cls", [BchCode, ReedSolomonCode])
+def test_each_codec_takes_bits_and_aliases_its_bit_entry_points(cls):
+    """encode_bits and decode_bits are the class's own encode and decode, which
+    take and return bit vectors; the family defines no second pair."""
+    own = vars(cls)
+    assert own["encode_bits"] is own["encode"] and own["decode_bits"] is own["decode"]
+    assert not {"encode_bits", "decode_bits", "_symbols"} & set(vars(galois.SystematicCode))
+    code = cls()
+    msg = stream("bit-contract", code.s).integers(0, 2, code.k_bits, dtype=np.uint8)
+    cw = code.encode(msg)
+    assert cw.dtype == np.uint8 and cw.shape == (code.n_bits,) and np.array_equal(cw[-code.k_bits:], msg)
+    rx = cw.copy()
+    rx[:: code.n_bits // code.t + 1] ^= 1  # at most one flipped bit in each of t symbols
+    got = code.decode(rx)
+    assert got.dtype == np.uint8 and np.array_equal(got, msg)
+    assert code.syndromes(cw).shape == (2 * code.t,) and not code.syndromes(cw).any()

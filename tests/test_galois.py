@@ -1,12 +1,16 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from risecure import galois
 from risecure.bch import BchCode
-from risecure.galois import GF2m, berlekamp_massey, locator_roots
+from risecure.galois import GF2m, SliceMap, berlekamp_massey, locator_roots
+from risecure.prng import stream
 from risecure.reed_solomon import ReedSolomonCode
 
-from gf_ref import clmul_mod, ref_field
+from gf_ref import clmul_mod, encode_symbols, ref_field, symbols_to_bits
 
 
 @pytest.mark.parametrize("m,poly", [(4, 0x13), (7, 0x89), (8, 0x11D)])
@@ -67,6 +71,49 @@ def test_codec_parameters_raise_value_error_naming_them(call, name):
 
 def test_largest_t_leaves_one_message_symbol():
     assert BchCode(t=63).k == 1 and ReedSolomonCode(t=127).k == 1
+
+
+# a primitive polynomial of each degree m the field accepts
+PRIMITIVE = {2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x89, 8: 0x11D, 9: 0x211,
+             10: 0x409, 11: 0x805, 12: 0x1053, 13: 0x201B, 14: 0x4443, 15: 0x8003, 16: 0x1100B}
+
+
+@pytest.mark.parametrize("make,m,t", [
+    *((make, m, ((1 << m) - 1) // 2) for m in range(2, 17) for make in (BchCode, ReedSolomonCode)),
+    (ReedSolomonCode, 16, 8), (ReedSolomonCode, 10, 511), (ReedSolomonCode, 11, 8),
+], ids=lambda v: getattr(v, "family", v))
+def test_code_tables_stay_within_the_budget(make, m, t, monkeypatch):
+    """A code either builds, and decodes a t-error word, with its parity,
+    syndrome and Chien tables inside TABLE_BYTES, or raises ValueError naming
+    m and t before it allocates them (a tracemalloc peak under 1 MB). The
+    field is built first: its own tables are no part of a code's."""
+    field = GF2m(m, PRIMITIVE[m])
+    monkeypatch.setattr(sys.modules[make.__module__], "GF2m", lambda *args: field)
+    monkeypatch.setattr(galois.SystematicCode, "_maps", {})  # fresh tables, dropped after the test
+    monkeypatch.setattr(galois, "_chien_maps", {})
+    tracemalloc.start()
+    try:
+        code = make(m=m, t=t, primitive_poly=PRIMITIVE[m])
+    except ValueError as exc:
+        assert f"m={m}, t={t}:" in str(exc)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        return
+    finally:
+        tracemalloc.stop()
+    assert (m, t) not in [(16, 8), (10, 511)]  # 384 MiB and 208 MiB of tables
+    rng = stream("table-budget", m, t)
+    msg = rng.integers(0, 2, code.k_bits, dtype=np.uint8)
+    rx = code.encode(msg)
+    rx[code.s * rng.choice(code.n, t, replace=False) + rng.integers(0, code.s, t)] ^= 1
+    assert np.array_equal(code.decode(rx), msg)
+    chien = galois._chien_maps[(m, PRIMITIVE[m])]
+    assert sum(map.table.nbytes for map in (code._parity, code._syndrome_map, chien)) <= galois.TABLE_BYTES
+
+
+@pytest.mark.parametrize("in_bits,out_bytes", [(1, 1), (8, 8), (9, 9), (13, 3), (127, 32), (2040, 17)])
+def test_slice_table_bytes_are_known_before_the_table_is_built(in_bits, out_bytes):
+    rows = np.zeros((in_bits, out_bytes), dtype=np.uint8)
+    assert SliceMap(rows).table.nbytes == SliceMap.nbytes(in_bits, out_bytes)
 
 
 def test_poly_mul_matches_scalar():
@@ -188,10 +235,10 @@ def test_berlekamp_massey_matches_the_textbook_loop_on_received_words(code, symb
     rng = np.random.default_rng(31)
     for k in range(BM_WORDS):
         weight = k % (code.t + 4)
-        rx = code.encode(rng.integers(0, symbol_max + 1, code.k).astype(np.uint8))
+        rx = encode_symbols(code, rng.integers(0, symbol_max + 1, code.k).astype(np.uint8))
         pos = rng.choice(code.n, weight, replace=False)
         rx[pos] ^= rng.integers(1, symbol_max + 1, weight).astype(rx.dtype)
-        synd = code.syndromes(rx)
+        synd = code.syndromes(symbols_to_bits(rx, code.s))
         lam, l = berlekamp_massey(code.field, synd, binary=symbol_max == 1)
         want, want_l = textbook_berlekamp_massey(code.field, synd)
         assert l == want_l and np.array_equal(lam, want), (k, weight)

@@ -463,6 +463,21 @@ def test_load_words_rejects_a_word_outside_32_bits_before_writing(bad):
     assert st.memory == bytearray(64)
 
 
+@pytest.mark.parametrize("line", ["-4: 00000013", "40: 00000013", "3e: 00000013"],
+                         ids=["negative", "past-the-end", "straddling-the-end"])
+def test_load_hex_program_checks_every_line_before_writing(line):
+    st = MachineState(memory_size=64)
+    with pytest.raises(ValueError, match=r"^program does not fit in 64 bytes: line 3 "):
+        st.load_hex_program(f"0: 00500093\n# the last line cannot be written\n{line}\n")
+    assert st.memory == bytearray(64)
+
+
+def test_load_hex_program_writes_the_last_word_of_memory():
+    st = MachineState(memory_size=64)
+    st.load_hex_program("3c: 00100073")
+    assert st.memory[60:] == bytes.fromhex("73001000") and not any(st.memory[:60])
+
+
 # --- custom instructions end to end --------------------------------------
 
 def _machine_with_device(seed=42, puf_seed=99, p=0.02, capacity=16, mem=8192):

@@ -74,7 +74,8 @@ def test_each_route_decodes_errors_within_t(monkeypatch):
 
     def counting(code, rx):
         msg = correct(code, rx)
-        weights.append((int(np.count_nonzero(code.encode(msg) != rx)), code.t))
+        wrong_bits = (code.encode(msg) != rx).reshape(code.n, code.s)
+        weights.append((int(np.count_nonzero(wrong_bits.any(axis=1))), code.t))
         return msg
 
     monkeypatch.setattr(SystematicCode, "_correct", counting)
