@@ -15,7 +15,7 @@ import numpy as np
 
 from .extractor import enroll, get_code
 from .hashing import OUTER_CHALLENGE_BITS, compose_response
-from .prng import checked_int, derive_seed, is_real, stream
+from .prng import checked_int, derive_seed, is_real, random_bits, random_int63, stream
 from .puf import ArbiterPuf, parity_features
 
 MODES = ("raw_arbiter", "hashed_bit")
@@ -59,17 +59,15 @@ def generate_crps(puf, mode, count, seed, code=None):
     count = checked_int(count, "count", 100)  # smaller datasets are not meaningful here
     g = stream("attack-challenges", seed)
     if mode == "raw_arbiter":
-        challenges = g.integers(0, 2, (count, puf.stages), dtype=np.uint8)
+        challenges = random_bits(g, (count, puf.stages))
         responses = puf.eval_bits(challenges, None)
         return CrpDataset(challenges, responses, mode)
     if code is None:
         raise ValueError("hashed_bit mode needs the ECC code of the enrolled system")
-    c0 = int(g.integers(0, 1 << 63))
+    c0 = int(random_int63(g))
     _, r2 = enroll(puf, c0, code, derive_seed("attack-enroll", seed))
-    challenges = g.integers(0, 2, (count, OUTER_CHALLENGE_BITS), dtype=np.uint8)
-    responses = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        responses[i] = compose_response(r2, challenges[i], code.n_bits)[0]
+    challenges = random_bits(g, (count, OUTER_CHALLENGE_BITS))
+    responses = np.array([compose_response(r2, c, code.n_bits)[0] for c in challenges], np.uint8)
     return CrpDataset(challenges, responses, mode)
 
 

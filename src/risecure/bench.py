@@ -10,12 +10,10 @@ their legs in one loop, `_time_legs`, whose legs take turns going first.
 
 import time
 
-import numpy as np
-
 from .buffer import LookasideBuffer, sample_with_buffer
 from .extractor import enroll, get_code
 from .hashing import OUTER_CHALLENGE_BITS
-from .prng import checked_int, derive_seed, stream
+from .prng import checked_int, derive_seed, random_bits, random_int63, stream
 from .puf import ArbiterPuf, calibrate_sigma
 
 SCHEMA_VERSION = 1
@@ -49,7 +47,7 @@ def _bench_system(code_name, seed):
 
 
 def _outer_challenge(seed):
-    return stream("bench-outer", seed).integers(0, 2, OUTER_CHALLENGE_BITS, dtype=np.uint8)
+    return random_bits(stream("bench-outer", seed), OUTER_CHALLENGE_BITS)
 
 
 def _time_legs(puf, code, jobs, outer, legs, passes):
@@ -90,7 +88,7 @@ def run_batch_bench(code_name="rs", batch_sizes=(1, 2, 4, 8, 16), repeats=PASSES
     code, puf = _bench_system(code_name, seed)
     outer = _outer_challenge(seed)
     num_keys = max(batch_sizes) if distinct_keys else 1
-    key_c0s = stream("bench-keys", seed).integers(0, 1 << 63, num_keys)
+    key_c0s = random_int63(stream("bench-keys", seed), num_keys)
     enrolled = [((i, int(c0)), enroll(puf, int(c0), code, derive_seed("bench-enroll", seed, i))[0])
                 for i, c0 in enumerate(key_c0s)]
     rows = []
@@ -121,7 +119,7 @@ def run_throughput_bench(code_name="rs", samples=200, seed=0):
     """
     samples = checked_int(samples, "samples", 1)
     code, puf = _bench_system(code_name, seed)
-    c0 = int(stream("bench-keys", seed).integers(0, 1 << 63))
+    c0 = int(random_int63(stream("bench-keys", seed)))
     helper, _ = enroll(puf, c0, code, derive_seed("bench-enroll", seed, 0))
     jobs = [((0, c0), helper, derive_seed("bench-read", seed, 0, j)) for j in range(samples)]
     legs = _time_legs(puf, code, jobs, _outer_challenge(seed),

@@ -13,15 +13,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .attack import attack_datasets, run_attack, write_csv
 from .bench import PASSES, run_batch_bench, run_throughput_bench
 from .buffer import select_output
 from .extractor import HelperData, enroll, get_code
 from .hashing import OUTER_CHALLENGE_BITS, bits_to_bytes, bytes_to_bits
 from .isa import MachineState, PufDevice, run
-from .prng import checked_int, derive_seed, stream
+from .prng import checked_int, derive_seed, random_bits, stream
 from .puf import new_puf, puf_from_config, puf_to_config
 
 HASH = "sha3-256"  # the output hash every system file names; there is no other
@@ -101,7 +99,7 @@ def cmd_sample(args):
                 raise ValueError(f"outer challenge must be {OUTER_CHALLENGE_BITS // 4} hex digits")
             outer = bytes_to_bits(raw)
         else:
-            outer = stream("cli-outer", args.seed).integers(0, 2, OUTER_CHALLENGE_BITS, dtype=np.uint8)
+            outer = random_bits(stream("cli-outer", args.seed), OUTER_CHALLENGE_BITS)
     noise_seed = args.noise_seed
     if noise_seed is None:
         noise_seed = derive_seed("cli-read", args.seed)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bch import BchCode
 from .galois import SystematicCode
-from .prng import checked_int, stream
+from .prng import checked_int, random_bits, stream
 from .puf import eval_raw, reference_response
 from .reed_solomon import ReedSolomonCode
 
@@ -83,8 +83,7 @@ def enroll(puf, c0, code, rng_seed):
     the reference keeps the per-reconstruction error count at Binomial(n, p)
     instead of the doubled 2p(1-p) rate a noisy anchor would give.
     """
-    g = stream("enroll-secret", checked_int(rng_seed, "rng_seed"))
-    r = g.integers(0, 2, code.k_bits, dtype=np.uint8)
+    r = random_bits(stream("enroll-secret", checked_int(rng_seed, "rng_seed")), code.k_bits)
     r1 = reference_response(puf, c0, code.n_bits)
     aux = code.encode_bits(r) ^ r1  # two uint8 arrays XOR to a fresh uint8 array
     return HelperData(aux=aux, code=code), r1.copy()

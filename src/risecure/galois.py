@@ -130,10 +130,14 @@ class GF2m:
 
     def chien(self, poly):
         """poly(alpha^-p) for every p in [0, q-1), one SliceMap.apply; the map is
-        shared by equal fields and grows to the longest poly asked for."""
+        shared by equal fields and grows to the longest poly asked for. A poly
+        whose map would pass TABLE_BYTES raises ValueError before it is built;
+        a code's own polynomials fit, by the check its __init__ makes."""
         key, n, w = (self.m, self.primitive_poly), self.order - 1, self.dtype.itemsize
         chien = _chien_maps.get(key)
         if chien is None or len(chien.starts) < 2 * w * len(poly):  # 2w slices per term
+            if (size := SliceMap.nbytes(8 * w * len(poly), n * w)) > TABLE_BYTES:
+                raise ValueError(f"{len(poly)}-term poly over GF(2^{self.m}): {size}-byte Chien map")
             chien = _chien_maps[key] = SliceMap(self.power_rows(len(poly), 8 * w, -np.arange(n) % n))
         return chien.apply(np.asarray(poly).astype(self.dtype).view(np.uint8))[: n * w].view(self.dtype)
 

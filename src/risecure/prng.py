@@ -11,9 +11,19 @@ et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). `stream`
 hands the key to Philox inside a seed sequence that carries it (`_PhiloxKey`)
 instead of passing ``key=``, which would first build a SeedSequence from OS
 entropy and discard it; the generator and its draws are the same.
+
+The package's bits and uniforms come from a stream's raw 64-bit Philox words
+(`random_bits`, `random_uniforms`, `random_int63`), each equal bit for bit to
+the `Generator` call it stands for. NEP 19 keeps bit-generator streams stable
+but lets `Generator` methods change their algorithms between feature
+releases; among those methods the package's bits depend only on
+`standard_normal` (arbiter weights and noise) and on the bounded
+`integers(0, num_blocks)` of `SramPuf.draw_challenge`, and `risecure selftest`
+checks both by name.
 """
 
 import hashlib
+import math
 import numbers
 import struct
 
@@ -105,6 +115,32 @@ def stream(tag: str, *seeds: int) -> np.random.Generator:
     integer; see _PhiloxKey.
     """
     return np.random.Generator(np.random.Philox(_PhiloxKey(_domain_hash(tag, seeds))))
+
+
+def random_bits(g, shape):
+    """0/1 uint8 bits of `shape` from g's raw words: bit i is the top bit of little-endian
+    byte i, as ``g.integers(0, 2, shape, dtype=np.uint8)`` gives.
+
+    numpy draws those bytes four at a time from 32-bit halves of the words, low
+    half first, and a call that ends inside a word's low half keeps its high
+    half for the next 32-bit draw; this draw takes whole words and drops it.
+    The 64-bit draws never read that half, so the two agree on a stream that
+    no `Generator` method has read.
+    """
+    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    words = g.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False)
+    return (words.view(np.uint8)[:n] >> 7).reshape(shape)
+
+
+def random_uniforms(g, n):
+    """n doubles (w >> 11) * 2^-53 of g's raw words w, as ``g.random(n)`` gives."""
+    return (g.bit_generator.random_raw(n) >> _U(11)) * 2.0 ** -53
+
+
+def random_int63(g, size=None):
+    """Integers w >> 1 in [0, 2^63) of g's raw words w, as ``g.integers(0, 2**63, size)``
+    gives: an int64 scalar when size is None, else an int64 array."""
+    return np.int64(g.bit_generator.random_raw(size) >> 1)
 
 
 def splitmix64(x):

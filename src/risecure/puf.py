@@ -34,12 +34,11 @@ import math
 import numpy as np
 
 from .prng import (GOLDEN_GAMMA, MASK64, checked_int, derive_seed, is_integer, is_real,
-                   splitmix64, stream)
+                   random_bits, random_int63, splitmix64, stream)
 
 SCHEMA_VERSION = 1
 TRIAL_BITS = 127  # bits per arbiter read in reliability trials and calibration samples
 _GATHER_BUDGET = 1 << 16  # table entries one margin gather holds: 512 KB of doubles
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _challenge_words(c0, count, stages):
@@ -130,13 +129,13 @@ class SramPuf:
         self.num_blocks = checked_int(num_blocks, "num_blocks", 1)
         self.block_bits = checked_int(block_bits, "block_bits", 1)
         self.p = float(p)
+        self._flip_below = np.uint64(math.ceil(self.p * 2.0 ** 53) << 11)  # see read
         self._ref = {}  # block -> its read-only power-up value, a pure function of (seed, block)
 
     def read(self, c0, n_bits, noise_seed=None):
         """Block c0, which must be n_bits wide; its power-up value when noise_seed is None."""
         if not is_integer(n_bits) or n_bits != self.block_bits:
-            raise ValueError(f"code length n_bits={n_bits!r} != SRAM block width "
-                             f"{self.block_bits}")
+            raise ValueError(f"code length n_bits={n_bits!r} != SRAM block width {self.block_bits}")
         if not is_integer(c0) or not 0 <= c0 < self.num_blocks:
             raise ValueError(f"block index c0 must be an integer in [0, {self.num_blocks}), "
                              f"got {c0!r}")
@@ -145,13 +144,15 @@ class SramPuf:
         block = int(c0)
         ref = self._ref.get(block)
         if ref is None:
-            ref = stream("sram-ref", self.seed, block).integers(0, 2, self.block_bits, dtype=np.uint8)
+            ref = random_bits(stream("sram-ref", self.seed, block), self.block_bits)
             ref.flags.writeable = False
             self._ref[block] = ref
         if noise_seed is None or self.p == 0:
             return ref
+        # bit i flips when random_uniforms' value (w >> 11) 2^-53 of raw word i is below p:
+        # w >> 11 is an integer, so that holds exactly when w < ceil(p 2^53) 2^11
         g = stream("sram-read", self.seed, block, noise_seed)
-        return ref ^ (g.random(self.block_bits) < self.p).astype(np.uint8)
+        return ref ^ (g.bit_generator.random_raw(self.block_bits) < self._flip_below).view(np.uint8)
 
     def draw_challenge(self, g, n_bits):
         """A random inner challenge from g and the width of its read."""
@@ -223,7 +224,7 @@ class _DelayPuf:
 
     def draw_challenge(self, g, n_bits):
         """A random inner challenge from g and the width of its read."""
-        return int(g.integers(0, 1 << 63)), n_bits
+        return int(random_int63(g)), n_bits
 
     def sample_margins(self, g, count):
         """Noiseless margins of `count` random stage-width challenges drawn from g.
@@ -231,12 +232,11 @@ class _DelayPuf:
         The challenge bits are drawn and read block by block, a block being
         one _margins gather rounded down to a multiple of 8 challenges: its
         bits are then whole 64-bit Philox words, so the blocks join to the
-        one (count, stages) draw without holding all of its bits.
+        one (count, stages) random_bits draw without holding all of its bits.
         """
         block = _GATHER_BUDGET // (self._table.size // 256) // 8 * 8  # at least 8, see _margins
-        return np.concatenate([
-            self.margins(g.integers(0, 2, (min(block, count - lo), self.stages), dtype=np.uint8))
-            for lo in range(0, count, block)])
+        return np.concatenate([self.margins(random_bits(g, (min(block, count - lo), self.stages)))
+                               for lo in range(0, count, block)])
 
     def features(self, challenges):
         """Suffix-parity words of a challenge batch; its width must equal the stage count."""
@@ -398,8 +398,7 @@ def measure_reliability(puf, trials, seed):
     trials = checked_int(trials, "trials", 1000)  # fewer give no usable estimate
     seed = checked_int(seed, "seed")
     g = stream("reliability-challenges", seed)
-    agree = 0
-    total = 0
+    agree = total = 0
     for t in range(trials):
         c0, width = puf.draw_challenge(g, TRIAL_BITS)
         ref = puf.read(c0, width)
@@ -416,41 +415,36 @@ def _flip_probability(x):
     x = 8.2924 on. Scalar erfc costs about 3x a vectorised CDF per element, so
     it runs only where x < 9; calibration passes only the rows that have such
     an x (see _reliability_above), a few percent of them at a calibrated sigma.
+    math.erfc is mapped over a list of the arguments, which gives the doubles
+    an object-dtype ufunc of it gives, without the object array.
     """
     q = np.zeros_like(x)
     near = x < 9.0
-    q[near] = 1.0 - (1.0 - 0.5 * _ERFC(x[near] * math.sqrt(0.5)).astype(float))
+    t = (x[near] * math.sqrt(0.5)).tolist()
+    q[near] = 1.0 - (1.0 - 0.5 * np.fromiter(map(math.erfc, t), float, len(t)))
     return q
-
-
-def _expected_reliability(sigma, margins):
-    """Semi-analytic per-challenge agreement probability, averaged.
-
-    `margins` are the absolute delay differences |d| and sigma > 0. For one
-    arbiter chain the flip probability at margin d is q = 1 - Phi(|d| / sigma)
-    (see _flip_probability); a XOR of k chains reproduces its reference bit
-    exactly when an even number of chains flip, which has probability
-    (1 + prod_k (1 - 2 q_k)) / 2.
-    """
-    q = _flip_probability(margins / sigma)
-    if margins.ndim == 1:
-        return float(np.mean(1.0 - q))
-    return float(np.mean((1.0 + np.prod(1.0 - 2.0 * q, axis=1)) / 2.0))
 
 
 _Q1 = float(_flip_probability(np.ones(1))[0])  # q(1) = 0.1587
 
 
 def _reliability_above(margins, target):
-    """calibrate_sigma's step test: sigma -> _expected_reliability(sigma, margins) > target,
-    the same answer bit for bit, paid for only by the rows that can flip.
+    """calibrate_sigma's step test: whether the expected reliability at sigma is above the
+    target, paid for only by the rows that can flip.
+
+    The expected reliability is the mean over the sampled rows of |d| of each
+    row's chance to read its reference bit: 1 - q for one chain, with q =
+    1 - Phi(|d| / sigma) (see _flip_probability), and (1 + prod_k (1 - 2 q_k))
+    / 2 for a XOR of k chains, which reproduces its bit exactly when an even
+    number of chains flip. `expected_reliability` in tests/test_puf.py computes
+    it on every row, and each step answers as it would, bit for bit.
 
     The rows are sorted once by their smallest |d|. A row whose smallest |d| is
     above fl(9 sigma) > 8.3 sigma has q = 0 on every chain (see
     _flip_probability), so its value is exactly 1.0. Only the sorted prefix
     below runs _flip_probability; its values go into a reused array of 1.0s at
     the rows' own places, so np.mean sums the same array in the same pairwise
-    order as _expected_reliability (Higham, SIAM J. Sci. Comput. 14(4), 1993).
+    order as the whole-row mean (Higham, SIAM J. Sci. Comput. 14(4), 1993).
 
     A step far below the target is settled by counting, without erfc: a row
     with some |d| < sigma has q >= q(1) on that chain, and its value, 1 - q or
@@ -484,14 +478,14 @@ def calibrate_sigma(puf, target_reliability, trials=1000, seed=0):
 
     Bisection over sigma against the expected reliability evaluated on a
     Monte-Carlo challenge sample of trials * TRIAL_BITS bits; each step asks
-    _reliability_above, which answers as _expected_reliability would. Requires
-    0.5 < target <= 1; noise can only pull reliability down toward 1/2, so
-    every such target is reached. hi doubles from 1 until the expected
-    reliability is at or below the target, which ends at the latest when
-    erfc rounds to 1 for every |d| / hi and the reliability is exactly 1/2.
-    The bisection then runs until the midpoint equals an end, that is until
-    lo and hi are adjacent doubles; each step shrinks the doubles strictly
-    inside (lo, hi), so it ends too. The result is that midpoint: its
+    _reliability_above, which answers as `expected_reliability` in
+    tests/test_puf.py would. Requires 0.5 < target <= 1; noise can only pull
+    reliability down toward 1/2, so every such target is reached. hi doubles
+    from 1 until the expected reliability is at or below the target, which ends
+    at the latest when erfc rounds to 1 for every |d| / hi and the reliability
+    is exactly 1/2. The bisection then runs until the midpoint equals an end,
+    that is until lo and hi are adjacent doubles; each step shrinks the doubles
+    strictly inside (lo, hi), so it ends too. The result is that midpoint: its
     reliability is above the target and the next double's is not, or the
     reverse.
     """

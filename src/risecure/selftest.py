@@ -6,16 +6,18 @@ little-endian byte order) with the digest recorded in `CHECKS`, as the
 pre-operational self-tests of FIPS 140-3 do. The inputs are constants, so
 the suite takes no seed.
 
-The checks cover the four numpy `Generator` methods every output bit flows
-through and the raw Philox words under them, the public mixers and the hash
-stage, one enroll -> noisy reconstruct -> hashed-output route per PUF kind
-(SRAM on BCH, arbiter on RS, 4-XOR arbiter on BCH; each read at noise seed 3
-carries errors within t, so every route decodes), the buffer's FIFO policy,
-the memory an init + challenge program leaves behind, and a second challenge
-after its index was evicted, which the device decodes from a noisy read at a
-`device-read` seed. A FAIL means the package's bits changed, or numpy's:
-NEP 19 lets `Generator` methods change their algorithms between feature
-releases.
+The checks cover the raw Philox words every output bit flows from, the
+package's three draws on them (`prng.random_bits`, `random_uniforms` and
+`random_int63`), the two numpy `Generator` methods the package still calls
+(`standard_normal`, and the bounded `integers` of `SramPuf.draw_challenge`),
+the public mixers and the hash stage, one enroll -> noisy reconstruct ->
+hashed-output route per PUF kind (SRAM on BCH, arbiter on RS, 4-XOR arbiter on
+BCH; each read at noise seed 3 carries errors within t, so every route
+decodes), the buffer's FIFO policy, the memory an init + challenge program
+leaves behind, and a second challenge after its index was evicted, which the
+device decodes from a noisy read at a `device-read` seed. A FAIL means the
+package's bits changed, or numpy's: NEP 19 keeps Philox's words stable but lets
+`Generator` methods change their algorithms between feature releases.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ from .extractor import enroll, get_code, reconstruct
 from .hashing import bytes_to_bits, compose_response
 from .isa import (MachineState, PufDevice, asm_ebreak, asm_inner_puf_init,
                   asm_outer_puf_chal, li32, run)
-from .prng import splitmix64, stream
+from .prng import random_bits, random_int63, random_uniforms, splitmix64, stream
 from .puf import ArbiterPuf, SramPuf, XorArbiterPuf, expand_challenge, parity_features
 
 OUTER = bytes(range(16))  # the outer challenge of every hashed check
@@ -99,19 +101,20 @@ def _isa_noise_read():
     return [status, bytes(state.memory), np.array(counters, dtype=np.int64)]
 
 
-def _draw(method, *args):
-    """A check of one Generator method on the stream every prng check shares."""
-    return lambda: [getattr(stream("selftest"), method)(*args)]
+def _draw(draw, *args):
+    """A check of one draw, a function of a Generator, on the stream every prng check shares."""
+    return lambda: [draw(stream("selftest"), *args)]
 
 
 # (name, build, recorded digest)
 CHECKS = [
-    ("prng-random-raw", lambda: [stream("selftest").bit_generator.random_raw(8)],
-     "b89d03332ded9cf8"),
-    ("prng-integers-bits", _draw("integers", 0, 2, 127, np.uint8), "395eef2c21743255"),
-    ("prng-random", _draw("random", 8), "39f2bd641f2d23e8"),
-    ("prng-integers-63", _draw("integers", 0, 1 << 63, 8), "c09ed5c5e177a1ae"),
-    ("prng-standard-normal", _draw("standard_normal", 8), "f67cda109fa8d728"),
+    ("prng-random-raw", _draw(lambda g: g.bit_generator.random_raw(8)), "b89d03332ded9cf8"),
+    ("prng-bits", _draw(random_bits, 127), "395eef2c21743255"),
+    ("prng-uniforms", _draw(random_uniforms, 8), "39f2bd641f2d23e8"),
+    ("prng-int63", _draw(random_int63, 8), "c09ed5c5e177a1ae"),
+    ("prng-standard-normal", _draw(lambda g: g.standard_normal(8)), "f67cda109fa8d728"),
+    ("prng-sram-draw-challenge", _draw(lambda g: np.array(  # 32-bit draws, two to a Philox word
+        [SramPuf(1, 64).draw_challenge(g, 127)[0] for _ in range(9)], np.int64)), "bca155e60b7f1d62"),
     ("splitmix64", lambda: [splitmix64(np.arange(8, dtype=np.uint64))], "996b2fab3540594c"),
     ("parity-features", lambda: [parity_features(expand_challenge(1, 16, 70))],
      "e214e6aef7dea2f3"),

@@ -145,6 +145,24 @@ def test_chien_map_matches_scalar(monkeypatch):
             assert len(galois._chien_maps[(m, poly)].starts) == 2 * length  # a byte a term
 
 
+@pytest.mark.parametrize("terms", [9, 20])
+def test_direct_chien_calls_are_bounded(terms, monkeypatch):
+    """locator_roots of a polynomial whose Chien map would pass TABLE_BYTES raises
+    ValueError naming its length before the map is built: over GF(2^16) each term
+    takes 8 MiB, so 8 terms fit and 20 would take 160 MiB."""
+    field = GF2m(16, PRIMITIVE[16])
+    monkeypatch.setattr(galois, "_chien_maps", {})
+    assert SliceMap.nbytes(16 * terms, 2 * field.order - 2) == terms * 8 << 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{terms}-term poly over GF\\(2\\^16\\): "):
+            locator_roots(field, np.arange(1, terms + 1))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert galois._chien_maps == {}
+
+
 def lfsr_generates(field, lam, syndromes, length):
     """Check the connection polynomial actually generates the sequence."""
     field = ref_field(field)

@@ -1,7 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
+import test_codec_core
+import test_isa
+import test_puf
 
-from risecure.prng import GOLDEN_GAMMA, _domain_hash, _PhiloxKey, derive_seed, splitmix64, stream
+from risecure import puf, selftest
+from risecure.prng import (GOLDEN_GAMMA, _domain_hash, _PhiloxKey, derive_seed, random_bits,
+                           random_int63, random_uniforms, splitmix64, stream)
 
 
 def splitmix64_scalar(state, count):
@@ -108,3 +115,102 @@ def test_integer_seeds_hash_by_their_low_64_bits():
     assert derive_seed("x", np.int64(5), np.uint8(7)) == derive_seed("x", 5, 7)
     assert derive_seed("x", -1) == derive_seed("x", (1 << 64) - 1)
     assert np.array_equal(stream("x", 1 << 64).integers(0, 256, 8), stream("x", 0).integers(0, 256, 8))
+
+
+def _same_draws(tag, calls):
+    """Run each (draw, Generator method, args) pair on two copies of one stream, in order,
+    and check that every pair gives equal values of equal dtype; returns the numpy copy."""
+    ours, numpys = stream(tag), stream(tag)
+    for draw, method, args in calls:
+        got, want = draw(ours), getattr(numpys, method)(*args)
+        assert np.asarray(got).dtype == np.asarray(want).dtype, (method, args)
+        assert np.array_equal(got, want), (method, args)
+    return numpys
+
+
+@pytest.mark.parametrize("shape", [1, 36, 127, 1784, (300, 65), (8, 1024)])
+def test_random_bits_is_integers_0_2_uint8(shape):
+    # 1784 bits: the RS message an enroll draws; 127: an SRAM block; 36: the BCH message
+    _same_draws(f"bits-{shape}", [_bits(shape)])
+
+
+def _bits(shape):
+    """A (random_bits, integers) pair of one bit draw."""
+    return (lambda g: random_bits(g, shape), "integers", (0, 2, shape, np.uint8))
+
+
+def test_calibration_blocks_join_like_one_integers_draw():
+    # sample_margins' two blocks of a 100-trial calibration at 64 stages, on one stream
+    _same_draws("blocks", [_bits((8192, 64)), _bits((4508, 64))])
+
+
+def test_scalar_63_bit_draw_after_a_bit_block():
+    # and bits after 63-bit draws, as generate_crps draws its c0 and then its challenges
+    _same_draws("int63", [_bits((4, 128)), (random_int63, "integers", (0, 1 << 63)),
+                          (lambda g: random_int63(g, 5), "integers", (0, 1 << 63, 5)), _bits(128)])
+
+
+def test_draw_that_ends_mid_word_and_the_64_bit_draws_after_it():
+    # 36 bits end in the low half of word 4; numpy keeps its high half for the next 32-bit
+    # draw, which no 64-bit draw reads, so uniforms and 63-bit integers still agree
+    numpys = _same_draws("mid-word", [_bits(36), (lambda g: random_uniforms(g, 3), "random", (3,)),
+                                      (random_int63, "integers", (0, 1 << 63))])
+    # numpy's next bit draw reads that kept half, where random_bits starts a new word:
+    # no stream of the package draws bits again after a draw that ends mid-word
+    word4 = stream("mid-word").bit_generator.random_raw(5)[4:].view(np.uint8)
+    assert np.array_equal(numpys.integers(0, 2, 4, np.uint8), word4[4:] >> 7)
+    assert random_bits(stream("x"), 0).shape == (0,) and random_uniforms(stream("x"), 0).size == 0
+
+
+def test_random_uniforms_is_random():
+    _same_draws("uniforms", [(lambda g, n=n: random_uniforms(g, n), "random", (n,))
+                             for n in (1, 127, 1000)])
+
+
+class _PackageMayNotCall(np.random.Generator):
+    """A Generator whose integers and random raise when the package calls them; the tests'
+    own inputs may still use them."""
+
+    def integers(self, *args, **kwargs):
+        _refuse_package_caller()
+        return super().integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        _refuse_package_caller()
+        return super().random(*args, **kwargs)
+
+
+def _refuse_package_caller():
+    caller = sys._getframe(2).f_globals.get("__name__", "")
+    if caller.startswith("risecure"):
+        raise AssertionError(f"{caller} drew through a Generator variate method")
+
+
+@pytest.fixture
+def package_variates_refused(monkeypatch):
+    """stream() builds _PackageMayNotCall generators while the test runs."""
+    monkeypatch.setattr(np.random, "Generator", _PackageMayNotCall)
+    assert type(stream("x")) is _PackageMayNotCall
+
+
+def test_refusal_sees_a_package_call(package_variates_refused):
+    with pytest.raises(AssertionError, match="risecure.puf drew"):
+        puf.SramPuf(1).draw_challenge(stream("x"), 127)  # the one bounded draw left on numpy
+    assert stream("x").integers(0, 2) in (0, 1)  # a test's own call is allowed
+
+
+def test_golden_digests_and_routes_pass_without_integers_or_random(package_variates_refused):
+    test_puf.test_arbiter_reads_match_the_recorded_digest()
+    for name, seed, want in [("perfbench-arbiter", 1, 0.07406320818637752),
+                             ("perfbench-xor", 20261017, 0.031872527783463195)]:
+        test_puf.test_calibrated_sigma_is_pinned(name, seed, want)
+    test_isa.test_random_programs_reach_the_recorded_final_state()
+    for code, digest in zip(test_codec_core._ENCODER_CODES[:2], [
+            "b3acf7567a903a33dde001d7cf5b3b65b96e5557473cb4c26677da63abe7ca0d",
+            "120e10e32b18f43ca8262f405bbe91133bc291cc100e3403213a63548334b602"]):
+        test_codec_core.test_encoder_outputs_are_pinned(code, digest)
+    checks = [(name, build, want) for name, build, want in selftest.CHECKS
+              if not name.startswith("prng-")]
+    assert [name for name, _, _ in checks][:3] == ["splitmix64", "parity-features", "compose-response"]
+    for name, build, want in checks:
+        assert selftest._digest(build()) == want, name

@@ -10,10 +10,9 @@ import pytest
 
 from risecure.prng import GOLDEN_GAMMA, derive_seed, splitmix64, stream
 from risecure.puf import (TRIAL_BITS, ArbiterPuf, SramPuf, XorArbiterPuf, _byte_sum,
-                          _expected_reliability, _flip_probability, _reliability_above,
-                          calibrate_sigma, eval_raw, expand_challenge, measure_reliability,
-                          new_puf, parity_features, puf_from_config, puf_to_config,
-                          reference_response)
+                          _flip_probability, _reliability_above, calibrate_sigma, eval_raw,
+                          expand_challenge, measure_reliability, new_puf, parity_features,
+                          puf_from_config, puf_to_config, reference_response)
 
 
 def test_parity_features_contract_examples():
@@ -91,6 +90,21 @@ def test_sram_flip_rate_within_3_sigma_of_binomial():
     n = trials * 127
     sd = np.sqrt(n * 0.05 * 0.95)
     assert abs(flips - n * 0.05) < 3 * sd
+
+
+@pytest.mark.parametrize("p", [1e-300, 2.0 ** -53, 3 * 2.0 ** -40, 0.01, 0.05, 1 / 3,
+                               np.nextafter(0.5, 0.0)])
+def test_sram_noise_flips_where_a_uniform_is_below_p(p):
+    """A noisy SRAM read flips bit i where Generator.random's value i on the read's stream
+    is below p; the read compares raw words w with T = ceil(p 2^53) 2^11 instead, and
+    (w >> 11) 2^-53 < p holds at w = T - 1 and fails at w = T."""
+    puf = SramPuf(8, num_blocks=2, block_bits=4096, p=p)
+    ref = puf.read(1, 4096)
+    for noise_seed in range(3):
+        want = stream("sram-read", 8, 1, noise_seed).random(4096) < p
+        assert np.array_equal(puf.read(1, 4096, noise_seed) ^ ref, want)
+    below = int(puf._flip_below)
+    assert ((below - 1) >> 11) * 2.0 ** -53 < p <= (below >> 11) * 2.0 ** -53
 
 
 def test_sram_block_out_of_range():
@@ -480,8 +494,24 @@ def test_calibrated_sigma_is_pinned(name, seed, want):
     assert sigma == pytest.approx(want, rel=1e-14)
 
 
+def expected_reliability(sigma, margins):
+    """Semi-analytic per-challenge agreement probability, averaged over every row.
+
+    `margins` are the absolute delay differences |d| and sigma > 0. For one
+    arbiter chain the flip probability at margin d is q = 1 - Phi(|d| / sigma)
+    (see _flip_probability); a XOR of k chains reproduces its reference bit
+    exactly when an even number of chains flip, which has probability
+    (1 + prod_k (1 - 2 q_k)) / 2. calibrate_sigma's step test,
+    _reliability_above, must answer as this does, bit for bit.
+    """
+    q = _flip_probability(margins / sigma)
+    if margins.ndim == 1:
+        return float(np.mean(1.0 - q))
+    return float(np.mean((1.0 + np.prod(1.0 - 2.0 * q, axis=1)) / 2.0))
+
+
 def _reference_expected_reliability(sigma, margins):
-    """_expected_reliability as it was when it took signed margins (commit 7604a1c)."""
+    """expected_reliability as it was when it took signed margins (commit 7604a1c)."""
     if sigma == 0:
         return 1.0
     q = _flip_probability(np.abs(margins) / sigma)
@@ -526,9 +556,9 @@ def test_calibrate_sigma_equals_the_80_step_loop_and_brackets_the_target(i):
     # sigma and its neighbour double toward the other end of the final interval
     # lie on opposite sides of the target
     margins = np.abs(puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS))
-    above = _expected_reliability(sigma, margins) > target
+    above = expected_reliability(sigma, margins) > target
     neighbour = np.nextafter(sigma, math.inf if above else 0.0)
-    assert (_expected_reliability(neighbour, margins) > target) != above
+    assert (expected_reliability(neighbour, margins) > target) != above
 
 
 def _traced_calibration(monkeypatch, puf, target, trials, seed):
@@ -579,7 +609,7 @@ def test_calibrate_sigma_equals_the_80_step_loop_where_pruning_is_fragile(
     assert sigma == reference_calibrate_sigma(puf, target, trials=trials, seed=seed)
     margins = np.abs(puf.sample_margins(stream("calibration-challenges", seed), trials * TRIAL_BITS))
     for s, above, exact in steps:  # every step, bound-settled or exact, answers as the reference
-        assert above == (_expected_reliability(s, margins) > target), (s, exact)
+        assert above == (expected_reliability(s, margins) > target), (s, exact)
         assert exact or not above  # the bound only ever says "not above"
     if target < 0.6:
         assert steps[0][0] == 1.0 and steps[0][1] and max(s for s, _, _ in steps) > 1.0

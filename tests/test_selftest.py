@@ -20,7 +20,7 @@ def _cli_failures(capsys):
 def test_selftest_passes_clean():
     ok, results = run_selftest()
     assert ok
-    assert [name for name, _, _ in results] == NAMES and len(NAMES) == 14
+    assert [name for name, _, _ in results] == NAMES and len(NAMES) == 15
     assert all(passed and detail == "" for _, passed, detail in results)
 
 
